@@ -14,10 +14,9 @@ from repro import (
     ST_CMOS09_HS,
     ST_CMOS09_LL,
     ST_CMOS09_ULL,
-    best_technology,
+    Study,
     flavour_line,
     numerical_optimum,
-    selection_matrix,
 )
 from repro.core.calibration import calibrate_row
 from repro.experiments.paper_data import (
@@ -45,7 +44,16 @@ def main() -> None:
     family = calibrated_family()
 
     print("Wallace family across ST CMOS09 flavours (uW at 31.25 MHz)\n")
-    matrix = selection_matrix(list(family.values()), FLAVOURS, PAPER_FREQUENCY)
+    answer = (
+        Study("technology-selection")
+        .architectures(*family.values())
+        .technologies(*FLAVOURS)
+        .frequencies(PAPER_FREQUENCY)
+        .solver("numerical")
+        .jobs(1)
+        .run()
+    )
+    matrix = {(r.architecture, r.technology): r for r in answer}
     header = f"{'architecture':18s}" + "".join(
         f"{tech.name.split('-')[-1]:>10s}" for tech in FLAVOURS
     )
@@ -56,10 +64,10 @@ def main() -> None:
         )
         print(f"{name:18s}{cells}")
 
-    winner = best_technology(family["Wallace"], FLAVOURS, PAPER_FREQUENCY)
+    winner = answer.filter(lambda r: r.architecture == "Wallace").best()
     print(
         f"\nBest flavour for the basic Wallace multiplier: "
-        f"{winner.technology.name} at {winner.ptot * 1e6:.2f} uW"
+        f"{winner.technology} at {winner.ptot * 1e6:.2f} uW"
     )
     print(
         "Note the Section 5 signature: calibrating the LL architecture on "

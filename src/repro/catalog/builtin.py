@@ -119,7 +119,6 @@ def _register_solvers(catalog: Catalog) -> None:
         BOUNDED_SOLVER,
         CLOSED_FORM_SOLVER,
         LINEARIZED_SOLVER,
-        NUMERICAL_SCALAR_SOLVER,
         NUMERICAL_SOLVER,
         VECTORIZED_SOLVER,
     )
@@ -129,7 +128,6 @@ def _register_solvers(catalog: Catalog) -> None:
         CLOSED_FORM_SOLVER,
         LINEARIZED_SOLVER,
         NUMERICAL_SOLVER,
-        NUMERICAL_SCALAR_SOLVER,
         VECTORIZED_SOLVER,
         BOUNDED_SOLVER,
         AUTO_SOLVER,
@@ -141,18 +139,6 @@ def _register_solvers(catalog: Catalog) -> None:
             summary=getattr(solver, "summary", ""),
             source=_SOURCE_SOLVERS,
         )
-
-    # The learned surrogate lives in its own subsystem; importing it here
-    # (not in repro.solvers) keeps the solvers ⇄ catalog graph acyclic.
-    from ..surrogate.solver import SURROGATE_SOLVER
-
-    _register(
-        namespace,
-        SURROGATE_SOLVER.name,
-        SURROGATE_SOLVER,
-        summary=SURROGATE_SOLVER.summary,
-        source="repro.surrogate",
-    )
 
 
 def _register_generators(catalog: Catalog) -> None:

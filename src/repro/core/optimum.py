@@ -3,7 +3,7 @@
 Both the numerical optimiser (:mod:`repro.core.numerical`) and the
 closed-form solver (:mod:`repro.core.closed_form`) return
 :class:`OperatingPoint` instances so downstream code (tables, benches,
-selection utilities) can treat them interchangeably.
+solvers) can treat them interchangeably.
 """
 
 from __future__ import annotations

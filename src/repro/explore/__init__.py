@@ -2,8 +2,8 @@
 
 The paper's Sections 4–5 methodology — evaluate the Eq. 13 closed-form
 optimum for every (architecture, technology, frequency) candidate and
-pick the minimum — is a *batch* problem, but :mod:`repro.core.selection`
-evaluates it one scipy call at a time.  This package turns the
+pick the minimum — is a *batch* problem, while the scalar optimizers in
+:mod:`repro.core` solve one point per scipy call.  This package turns the
 one-at-a-time optimizer into a batch service:
 
 ``scenario``

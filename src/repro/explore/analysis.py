@@ -129,11 +129,10 @@ def rank_points(
 ) -> list[PointResult]:
     """Candidates sorted cheapest-first; infeasible ones last.
 
-    Mirrors :func:`repro.core.selection.rank_architectures`' convention
-    (+inf power sorts infeasible candidates to the tail) at design-space
-    scale.  Table-backed inputs rank by column argsort (stable, so tie
-    order matches the historical sort) and materialise rows in ranked
-    order; plain lists sort as before.
+    +inf power sorts infeasible candidates to the tail.  Table-backed
+    inputs rank by column argsort (stable, so tie order matches the
+    historical sort) and materialise rows in ranked order; plain lists
+    sort as before.
     """
     table = _as_table(points)
     if table is not None and key is None:

@@ -83,8 +83,7 @@ class PointOutcome:
     """Evaluation outcome for one design point.
 
     ``result`` is None when the point is infeasible; ``reason`` then
-    explains why (same contract as :class:`repro.core.selection.
-    Candidate`).  ``method`` records which path produced the value.
+    explains why.  ``method`` records which path produced the value.
     """
 
     point: DesignPoint
@@ -818,8 +817,9 @@ def explore(
                 stored = cache.get(key)
             if stored is not None:
                 try:
-                    table = ResultTable.from_cache_payload(stored)
-                    stats = EvaluationStats.from_dict(stored["stats"])
+                    with timer.phase("decode"):
+                        table = ResultTable.from_cache_payload(stored)
+                        stats = EvaluationStats.from_dict(stored["stats"])
                 except (KeyError, ValueError, TypeError):
                     # The entry parsed as JSON but is not a result we
                     # can trust: quarantine it and recompute, the same
@@ -832,11 +832,13 @@ def explore(
                     obs.inc(
                         "engine.runs", method=method, outcome="cache_hit"
                     )
+                    # A hit reports its own cost; the cold run's phase
+                    # breakdown stays in the stored entry.
                     return ExplorationResult(
                         scenario=scenario,
                         method=method,
                         points=table.rows(),
-                        stats=stats,
+                        stats=replace(stats, phases=dict(timer.phases)),
                         cache_hit=True,
                         cache_key=key,
                         cache_path=cache.path_for(key),

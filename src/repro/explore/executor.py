@@ -8,9 +8,9 @@ calls out over a ``multiprocessing`` pool with chunking, falling back to
 an in-process loop for small batches (or single-CPU hosts) where pool
 start-up would dominate.
 
-Every evaluation returns ``(OptimizationResult | None, reason)`` — the
-same "keep infeasible candidates with their reason" contract
-:mod:`repro.core.selection` has always exposed.
+Every evaluation returns ``(OptimizationResult | None, reason)``:
+infeasible candidates are kept, with the reason they cannot close
+timing.
 """
 
 from __future__ import annotations

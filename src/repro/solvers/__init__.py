@@ -45,7 +45,6 @@ from .scalar import (
     BOUNDED_SOLVER,
     CLOSED_FORM_SOLVER,
     LINEARIZED_SOLVER,
-    NUMERICAL_SCALAR_SOLVER,
     ScalarSolver,
 )
 
@@ -57,7 +56,6 @@ __all__ = [
     "CLOSED_FORM_SOLVER",
     "EngineSolver",
     "LINEARIZED_SOLVER",
-    "NUMERICAL_SCALAR_SOLVER",
     "NUMERICAL_SOLVER",
     "ScalarSolver",
     "Solver",

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 from ..core.bounded import bounded_optimum
 from ..core.closed_form import InfeasibleConstraintError, closed_form_optimum
-from ..core.numerical import numerical_optimum, numerical_optimum_linearized
+from ..core.numerical import numerical_optimum_linearized
 from ..core.optimum import OptimizationResult
 from ..explore.engine import PointOutcome
 from ..explore.scenario import DesignPoint
@@ -36,7 +36,6 @@ __all__ = [
     "BOUNDED_SOLVER",
     "CLOSED_FORM_SOLVER",
     "LINEARIZED_SOLVER",
-    "NUMERICAL_SCALAR_SOLVER",
 ]
 
 
@@ -105,14 +104,4 @@ BOUNDED_SOLVER = ScalarSolver(
     summary="exact optimum under practical Vth/Vdd caps (vth_max, vdd_bounds)",
     fn=bounded_optimum,
     allowed_options=("vth_max", "vdd_bounds", "chi_value"),
-)
-
-#: The reference solver in scalar form.  The registry's ``numerical``
-#: entry routes through the parallel executor instead; this instance
-#: exists for callers that want the guaranteed-serial, in-process path.
-NUMERICAL_SCALAR_SOLVER = ScalarSolver(
-    name="numerical_scalar",
-    summary="exact numerical reference, guaranteed in-process serial loop",
-    fn=numerical_optimum,
-    allowed_options=("chi_value", "vdd_span"),
 )

@@ -7,8 +7,7 @@ compiles to an explore :class:`~repro.explore.scenario.Scenario` under
 the hood, dispatches through the :mod:`repro.solvers` registry (the
 ``"auto"`` default rides the vectorized kernel with exact-numerical
 fallback), and every run returns one typed :class:`ResultSet` of uniform
-records — no more juggling ``OptimizationResult`` here, ``Candidate``
-there and engine outcomes elsewhere.
+records, whichever solver produced them.
 
 Quick start::
 
@@ -518,25 +517,30 @@ class Study:
     ) -> ResultSet:
         cache: TieredCache | None = None
         key = ""
+        timer = obs.PhaseTimer("solver")
         if self._use_cache:
             cache = as_cache(self._cache)
             key = self._cache_key(scenario)
-            stored = cache.get(key)
+            with timer.phase("cache_read"):
+                stored = cache.get(key)
             if stored is not None:
                 # Old entries store a row-wise "records" list, new ones
                 # the compact columnar payload; both load identically.
-                table = ResultTable.from_cache_payload(stored)
+                with timer.phase("decode"):
+                    table = ResultTable.from_cache_payload(stored)
+                    stats = EvaluationStats.from_dict(stored["stats"])
+                # A hit reports its own cost; the cold run's phase
+                # breakdown stays in the stored entry.
                 return ResultSet(
                     records=table.rows(),
                     solver=solver.name,
                     scenario=scenario,
-                    stats=EvaluationStats.from_dict(stored["stats"]),
+                    stats=replace(stats, phases=dict(timer.phases)),
                     cache_hit=True,
                     cache_key=key,
                     cache_path=cache.path_for(key),
                 )
 
-        timer = obs.PhaseTimer("solver")
         started = time.perf_counter()
         with timer.phase("expand"):
             points = scenario.expand()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.closed_form import closed_form_optimum
 from repro.core.numerical import numerical_optimum
-from repro.core.selection import evaluate_candidates
 from repro.explore import engine as engine_module
 from repro.explore.cache import ResultCache
 from repro.explore.engine import (
@@ -119,14 +118,14 @@ class TestExploreCache:
         second = explore(small_scenario, cache=tmp_path, jobs=1)
         assert second.cache_hit
         assert second.points == first.points
-        # Phase timings are per-run wall clocks: the computed run's map
-        # includes cache_write, the replayed one only what was stored.
+        # Phase timings are per-run wall clocks: the hit reports what it
+        # cost (read and decode), not the stored cold-run breakdown.
         import dataclasses
 
         assert dataclasses.replace(
             second.stats, phases={}
         ) == dataclasses.replace(first.stats, phases={})
-        assert "kernel" in second.stats.phases
+        assert set(second.stats.phases) == {"cache_read", "decode"}
 
     def test_hit_does_no_reevaluation(
         self, small_scenario, tmp_path, monkeypatch
@@ -217,33 +216,6 @@ class TestPointResult:
     def test_stats_round_trip(self):
         stats = EvaluationStats(10, 8, 7, 3, 0.5)
         assert EvaluationStats.from_dict(stats.to_dict()) == stats
-
-
-class TestSelectionDelegation:
-    def test_evaluate_candidates_matches_reference(
-        self, wallace_arch, tech_ll, paper_frequency
-    ):
-        candidates = evaluate_candidates(
-            [wallace_arch], [tech_ll], paper_frequency
-        )
-        assert len(candidates) == 1
-        expected = numerical_optimum(wallace_arch, tech_ll, paper_frequency)
-        assert candidates[0].ptot == pytest.approx(expected.ptot, rel=1e-12)
-
-    def test_infeasible_reporting_preserved(self, tech_ll, paper_frequency):
-        from repro import ArchitectureParameters
-
-        impossible = ArchitectureParameters(
-            name="impossible", n_cells=100, activity=0.1,
-            logical_depth=100000, capacitance=10e-15,
-        )
-        (candidate,) = evaluate_candidates(
-            [impossible], [tech_ll], paper_frequency
-        )
-        assert not candidate.feasible
-        assert candidate.result is None
-        assert candidate.reason != ""
-        assert candidate.ptot == float("inf")
 
 
 class TestDemoScenarioEndToEnd:

@@ -188,14 +188,14 @@ class TestErrorMapping:
         assert excinfo.value.status == 400
         assert excinfo.value.kind == "unknown-solver"
 
-    def test_unknown_solver_suggests_surrogate_on_optimize(self, service):
+    def test_unknown_solver_suggests_numerical_on_optimize(self, service):
         _, client = service
         with pytest.raises(ServiceError) as excinfo:
-            client.optimize(ARCH, "LL", 31.25e6, solver="surogate")
+            client.optimize(ARCH, "LL", 31.25e6, solver="numericl")
         assert excinfo.value.status == 400
         assert excinfo.value.kind == "unknown-solver"
         assert "did you mean" in str(excinfo.value)
-        assert "surrogate" in str(excinfo.value)
+        assert "numerical" in str(excinfo.value)
 
     def test_bad_jobs_is_400(self, service):
         _, client = service

@@ -269,6 +269,14 @@ class TestCaching:
         assert second.cache_hit
         assert second.records == first.records
 
+    def test_registry_hit_reports_its_own_phases(self, tmp_path, small_study):
+        small_study.solver("closed_form").cached(tmp_path)
+        first = small_study.run()
+        second = small_study.run()
+        assert "solve" in first.stats.phases
+        assert second.cache_hit
+        assert set(second.stats.phases) == {"cache_read", "decode"}
+
     def test_solver_is_part_of_the_key(self, tmp_path, small_study):
         small_study.cached(tmp_path)
         auto = small_study.solver("auto").run()
