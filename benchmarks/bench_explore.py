@@ -2,7 +2,7 @@
 
 Measures candidates/second on a ≥1,000-point sweep through three paths:
 
-* the vectorized Eq. 13 kernel (``method="closed-form"``),
+* the vectorized Eq. 13 kernel (``method="vectorized"``),
 * the auto engine (vectorized + exact-numerical fallback),
 * the seed's one-scipy-call-per-point loop (the historical
   ``evaluate_candidates`` behaviour), timed on a subsample and reported
@@ -20,7 +20,7 @@ import time
 from conftest import smoke_mode
 
 from repro.core.numerical import numerical_optimum
-from repro.explore.engine import evaluate_points
+from repro.explore.engine import evaluate_table
 from repro.explore.scenario import FrequencyGrid, Scenario, demo_scenario
 
 #: How many points of the sweep the scalar reference loop times.
@@ -54,12 +54,12 @@ def test_vectorized_vs_scalar_throughput(save_artifact, record_benchmark):
     assert len(points) >= 1000
 
     started = time.perf_counter()
-    vectorized = evaluate_points(points, method="closed-form")
+    vectorized = evaluate_table(scenario, method="vectorized")
     vectorized_seconds = time.perf_counter() - started
     vectorized_rate = _rate(len(points), vectorized_seconds)
 
     started = time.perf_counter()
-    auto = evaluate_points(points, method="auto", jobs=1)
+    auto = evaluate_table(scenario, method="auto")
     auto_seconds = time.perf_counter() - started
     auto_rate = _rate(len(points), auto_seconds)
 
@@ -102,8 +102,8 @@ def test_vectorized_vs_scalar_throughput(save_artifact, record_benchmark):
     )
 
     # Sanity: both sides actually evaluated the same problem.
-    assert all(outcome.feasible for outcome in vectorized)
-    assert all(outcome.feasible for outcome in auto)
+    assert vectorized.feasible.all()
+    assert auto.feasible.all()
     assert len(scalar_results) == len(sample)
     # Acceptance: >= 10x throughput for the batched path.
     assert speedup >= 10.0, f"speedup {speedup:.1f}x below the 10x floor"

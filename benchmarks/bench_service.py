@@ -48,18 +48,13 @@ def test_coalescing_k_concurrent_one_run(save_artifact):
     """(a) 8 concurrent identical sweeps → exactly 1 engine evaluation."""
     release = threading.Event()
 
-    def gated_evaluate(scenario, solver, jobs, options):
+    def gated_evaluate(scenario, solver, options):
         # Hold the leader until every follower has joined its flight, so
         # the demonstration is deterministic rather than a race we
         # usually win; the coalescer, cache policy and HTTP path are
         # exactly the production ones.
         release.wait(30.0)
-        return (
-            Study.from_scenario(scenario)
-            .solver(solver, **options)
-            .jobs(jobs)
-            .run()
-        )
+        return Study.from_scenario(scenario).solver(solver, **options).run()
 
     server = _serve(
         ServiceConfig(port=0, workers=CONCURRENT_REQUESTS, use_cache=False),
@@ -73,7 +68,7 @@ def test_coalescing_k_concurrent_one_run(save_artifact):
         def post():
             try:
                 client = ServiceClient(server.url, timeout=60.0)
-                results.append(client.explore(scenario, solver="auto", jobs=1))
+                results.append(client.explore(scenario, solver="auto"))
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
@@ -143,14 +138,14 @@ def test_warm_cache_throughput(save_artifact, tmp_path):
         scenario = demo_scenario(frequency_points=10)
 
         started = time.perf_counter()
-        cold = client.explore(scenario, solver="numerical", jobs=1)
+        cold = client.explore(scenario, solver="numerical")
         cold_seconds = time.perf_counter() - started
         assert not cold.cache_hit
 
         warm_samples = []
         for _ in range(WARM_ROUNDS):
             started = time.perf_counter()
-            warm = client.explore(scenario, solver="numerical", jobs=1)
+            warm = client.explore(scenario, solver="numerical")
             warm_samples.append(time.perf_counter() - started)
             assert warm.cache_hit
             assert warm.records == cold.records

@@ -74,12 +74,10 @@ def test_study_dispatch_overhead(save_artifact):
     assert len(points) == 1008
 
     def run_engine():
-        return explore(scenario, method="auto", jobs=1, use_cache=False)
+        return explore(scenario, method="auto", use_cache=False)
 
     def run_study():
-        return (
-            Study.from_scenario(scenario).solver("auto").jobs(1).run()
-        )
+        return Study.from_scenario(scenario).solver("auto").run()
 
     # Warm both paths once (imports, numpy dispatch tables, scipy).
     engine_result = run_engine()

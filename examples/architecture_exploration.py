@@ -54,7 +54,6 @@ def main() -> None:
         .technologies(ST_CMOS09_LL)
         .frequencies(FREQUENCY)
         .solver("numerical")
-        .jobs(1)
         .run()
         .rank()
     )

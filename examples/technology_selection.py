@@ -50,7 +50,6 @@ def main() -> None:
         .technologies(*FLAVOURS)
         .frequencies(PAPER_FREQUENCY)
         .solver("numerical")
-        .jobs(1)
         .run()
     )
     matrix = {(r.architecture, r.technology): r for r in answer}

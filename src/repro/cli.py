@@ -207,8 +207,8 @@ def _cmd_optimize(args) -> int:
 
 
 #: How ``explore --method`` names map to solver-registry names (the CLI
-#: keeps its historical vocabulary; ``closed-form`` has always meant the
-#: vectorized batch kernel here).
+#: keeps its historical vocabulary: ``closed-form`` here means the
+#: ``vectorized`` batch kernel, not the scalar ``closed_form`` solver).
 _EXPLORE_METHOD_SOLVERS = {
     "auto": "auto",
     "closed-form": "vectorized",
@@ -247,9 +247,6 @@ def _cmd_explore(args) -> int:
     else:
         scenario = demo_scenario(frequency_points=args.frequency_points)
 
-    if args.jobs is not None and args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
     if args.export and not args.export.endswith((".json", ".csv", ".npz")):
         # Checked before the sweep runs: a bad suffix must not cost a
         # (potentially minutes-long) evaluation.
@@ -278,7 +275,6 @@ def _cmd_explore(args) -> int:
     study = (
         Study.from_scenario(scenario)
         .solver(_EXPLORE_METHOD_SOLVERS[args.method])
-        .jobs(args.jobs)
         .cached(args.cache_dir, enabled=not args.no_cache)
     )
     tracer = _start_profile(args)
@@ -760,11 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument(
         "--method", default="auto", choices=["auto", "closed-form", "numerical"],
-        help="auto = vectorized Eq. 13 with exact-numerical fallback",
-    )
-    explore.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for exact-numerical points (default: CPUs)",
+        help="auto = vectorized Eq. 13 with exact-numerical fallback; "
+             "closed-form = the vectorized kernel alone",
     )
     explore.add_argument(
         "--top", type=int, default=15, help="ranking rows to print"

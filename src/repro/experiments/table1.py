@@ -147,7 +147,6 @@ def _solve_rows(
         .technologies(tech)
         .frequencies(frequency)
         .solver("numerical")
-        .jobs(1)
         .run()
     )
     rows = []

@@ -120,7 +120,6 @@ def _run_family(
         .technologies(tech)
         .frequencies(PAPER_FREQUENCY)
         .solver("numerical")
-        .jobs(1)
         .run()
     )
     rows = []

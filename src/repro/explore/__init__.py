@@ -17,14 +17,11 @@ one-at-a-time optimizer into a batch service:
 ``vectorized``
     Numpy kernel evaluating the Eq. 9–13 closed-form chain over whole
     candidate grids at once — no per-point scipy calls.
-``executor``
-    ``multiprocessing``-based parallel runner for the ``numerical``
-    reference method (one scipy call per point, on purpose); the auto
-    fallback is vectorized and no longer touches it.
 ``cache``
     Content-hash → JSON-on-disk result cache; repeated sweeps are free.
 ``engine``
-    Orchestration: expand, vectorize, fall back, cache.
+    Orchestration: the one :func:`explore` door — resolve the solver,
+    expand to columns, solve, cache under one :func:`cache_key`.
 ``analysis``
     Pareto frontier over (power, frequency, area-proxy), ranking and a
     tabular report.
@@ -39,13 +36,11 @@ from .columnar import ExpandedColumns, ResultRows, ResultTable, expand_columns
 from .engine import (
     EvaluationStats,
     ExplorationResult,
-    PointOutcome,
     PointResult,
-    evaluate_points,
+    cache_key,
     evaluate_table,
     explore,
 )
-from .executor import run_numerical
 from .scenario import (
     DesignPoint,
     FrequencyGrid,
@@ -65,18 +60,17 @@ __all__ = [
     "ExpandedColumns",
     "ExplorationResult",
     "FrequencyGrid",
-    "PointOutcome",
     "PointResult",
     "ResultCache",
     "ResultRows",
     "ResultTable",
     "Scenario",
     "TransformStep",
+    "cache_key",
     "chi_batch",
     "closed_form_batch",
     "content_hash",
     "demo_scenario",
-    "evaluate_points",
     "evaluate_table",
     "expand_columns",
     "explore",
@@ -85,7 +79,6 @@ __all__ = [
     "pipeline_step",
     "rank_points",
     "report",
-    "run_numerical",
     "sequentialize_step",
 ]
 

@@ -1,8 +1,8 @@
 """Structure-of-arrays results: the columnar spine of the explore engine.
 
-A 100k-point sweep through the object pipeline pays for every point
-three times: a :class:`~.scenario.DesignPoint` on expansion, a
-``PointOutcome`` after evaluation and a ``PointResult`` for analysis and
+A 100k-point sweep through an object pipeline would pay for every point
+three times: a :class:`~.scenario.DesignPoint` on expansion, an outcome
+object after evaluation and a ``PointResult`` for analysis and
 serialisation — none of which do arithmetic.  :class:`ResultTable` keeps
 the whole evaluated sweep as one numpy array per ``PointResult`` column
 instead, so the engine, the Pareto ranking, the cache payload and the
@@ -37,7 +37,7 @@ from ..core.technology import Technology
 from .scenario import DesignPoint, Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine import PointOutcome, PointResult
+    from .engine import PointResult
 
 __all__ = [
     "ExpandedColumns",
@@ -68,6 +68,18 @@ BOOL_COLUMNS = ("feasible",)
 
 #: Layout version of :meth:`ResultTable.save_npz` files.
 NPZ_SCHEMA_VERSION = 1
+
+
+def str_column(n: int, value: str) -> np.ndarray:
+    """An object column holding ``value`` in all ``n`` rows.
+
+    Every slot references the one ``str``; ``np.full`` would build a new
+    string per row, ~15x slower on a 100k-row sweep, and defeat the
+    identity shortcut of later ``==`` masks.
+    """
+    column = np.empty(n, dtype=object)
+    column.fill(value)
+    return column
 
 
 def _record_cls() -> "type[PointResult]":
@@ -275,9 +287,44 @@ class ResultTable:
         return cls(columns)
 
     @classmethod
-    def from_outcomes(cls, outcomes: Sequence["PointOutcome"]) -> "ResultTable":
-        record = _record_cls()
-        return cls.from_records([record.from_outcome(o) for o in outcomes])
+    def for_columns(
+        cls,
+        columns: "ExpandedColumns",
+        *,
+        feasible: np.ndarray,
+        method: np.ndarray,
+        vdd: np.ndarray,
+        vth: np.ndarray,
+        pdyn: np.ndarray,
+        pstat: np.ndarray,
+        ptot: np.ndarray,
+        reason: np.ndarray,
+    ) -> "ResultTable":
+        """A solver's result arrays over an expanded grid, row-aligned.
+
+        The candidate columns (names, frequency, Eq. 13 inputs, area)
+        come from ``columns``; the solver supplies the rest.
+        """
+        return cls(
+            {
+                "architecture": columns.arch_name,
+                "technology": columns.tech_name,
+                "frequency": columns.frequency,
+                "n_cells": columns.n_cells,
+                "activity": columns.activity,
+                "logical_depth": columns.logical_depth,
+                "capacitance": columns.capacitance,
+                "area": columns.area,
+                "feasible": feasible,
+                "method": method,
+                "vdd": vdd,
+                "vth": vth,
+                "pdyn": pdyn,
+                "pstat": pstat,
+                "ptot": ptot,
+                "reason": reason,
+            }
+        )
 
     @classmethod
     def from_payload_columns(cls, payload: Mapping[str, list]) -> "ResultTable":

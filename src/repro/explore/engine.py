@@ -1,61 +1,57 @@
-"""Orchestration: expand a scenario, vectorize, fall back, cache.
+"""Orchestration: expand a scenario, solve it column-wise, cache.
 
-The batch core is columnar end to end: :func:`explore` expands a
-scenario straight to column arrays (:func:`~.columnar.expand_columns`),
-runs the vectorized Eq. 9–13 kernel per technology group, solves every
-flagged point with the vectorized exact-numerical solver
-(:mod:`repro.solvers.batch_numerical` — a lockstep port of the bounded
-scipy search, bit-identical results without per-point scipy calls), and
-assembles the outcome by array masking into a
-:class:`~.columnar.ResultTable`.  Per-row ``PointResult`` objects are
-lazy views, materialised only when a caller indexes one.
+:func:`explore` is the one execution path.  It resolves the requested
+solver from the :mod:`repro.solvers` registry, hashes the sweep with
+:func:`cache_key`, returns the stored result on a hit, and on a miss
+expands the scenario straight to column arrays
+(:func:`~.columnar.expand_columns`) and hands them to
+``solver.solve(columns, **options)``, which returns a
+:class:`~.columnar.ResultTable`.  ``Study.run``, every job shard and
+the HTTP service all go through it, whatever the solver.
 
-:func:`evaluate_points` keeps the historical object contract — a list
-of :class:`PointOutcome` aligned with the input ``DesignPoint`` list —
-for the solver registry and direct callers; its fallback rides the same
-vectorized solver.  The multiprocessing pool survives exclusively
-behind ``method="numerical"``, the reference path that runs scipy on
-every point on purpose.
-
-A parity check compares sampled vectorized results against the scalar
-closed form on every run, so a drift between the two implementations
-cannot pass silently.  :func:`explore` wraps the core with the scenario
-spec and the on-disk result cache: hash the sweep definition, return
-the stored result on a hit (old row-wise entries load transparently),
-evaluate and store the compact columnar payload on a miss.
+The registry's batch entries (``auto``, ``vectorized``, ``numerical``)
+share :func:`_evaluate_columns`: the vectorized Eq. 9–13 kernel per
+technology group, then an exact numerical solve of every flagged row
+(``numerical`` flags every row and skips the kernel).  The flagged set
+goes to scalar :func:`~repro.core.numerical.numerical_optimum` when it
+is small and to the lockstep batch port
+(:mod:`repro.solvers.batch_numerical`) otherwise; the two agree bit for
+bit, values and reason strings.  A parity check compares sampled kernel
+rows against the scalar closed form on every run, so a drift between
+the two implementations cannot pass silently.
 """
 
 from __future__ import annotations
 
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, ClassVar, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, ClassVar, Mapping, Sequence
 
 import numpy as np
 
 from .. import obs
 from ..resilience import current_deadline, faults
 from ..core.closed_form import closed_form_optimum
-from ..core.numerical import DEFAULT_VDD_SPAN
-from ..core.optimum import OperatingPoint, OptimizationResult
-from ..core.technology import Technology
-from . import executor as executor_module
+from ..core.numerical import DEFAULT_VDD_SPAN, numerical_optimum
 from ..service.memcache import TieredCache, as_cache
 from .cache import CACHE_SCHEMA_VERSION, ResultCache, content_hash
-from .columnar import ExpandedColumns, ResultTable, expand_columns
-from .scenario import DesignPoint, Scenario
-from .vectorized import (
-    batch_arrays_for_columns,
-    batch_arrays_for_points,
-    closed_form_batch,
-)
+from .columnar import ExpandedColumns, ResultTable, expand_columns, str_column
+from .scenario import Scenario
+from .vectorized import batch_arrays_for_columns, closed_form_batch
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..solvers.base import Solver
 
 #: Method tag on vectorized operating points.
 VECTORIZED_METHOD = "vectorized-closed-form"
 
 #: Method tag on points the auto policy re-solved exactly.
 FALLBACK_METHOD = "numerical-fallback"
+
+#: Method tag on every row of the ``numerical`` reference solver.
+NUMERICAL_METHOD = "numerical"
 
 #: Relative tolerance of the engine's built-in vectorized-vs-scalar
 #: parity check (the arithmetic is identical, so real agreement is at
@@ -66,7 +62,11 @@ PARITY_RTOL = 1e-9
 #: closed form.
 PARITY_SAMPLES = 3
 
-EVALUATION_METHODS = ("auto", "closed-form", "numerical")
+#: Flagged sets smaller than this go to scalar ``numerical_optimum``
+#: (about 0.3 ms a row on a 2-core x86 box) instead of the batch solver
+#: (about 1.4 ms whatever the size up to a few dozen rows), so a single
+#: numerical point keeps the scalar cost.
+SCALAR_FALLBACK_ROWS = 5
 
 #: Kernel sub-chunk size used *only when a deadline is active*: small
 #: enough that a breached budget is noticed within a fraction of a
@@ -77,23 +77,22 @@ EVALUATION_METHODS = ("auto", "closed-form", "numerical")
 #: exactly as before — byte-identical results, zero overhead.
 DEADLINE_CHUNK_ROWS = 65536
 
+#: The phase timer of the :func:`evaluate_table` call running on this
+#: thread, so solvers can report phases through the plain
+#: ``solve(columns, **options)`` contract (see :func:`phase`).
+_ACTIVE_TIMER: ContextVar["obs.PhaseTimer | None"] = ContextVar(
+    "engine_timer", default=None
+)
 
-@dataclass(frozen=True)
-class PointOutcome:
-    """Evaluation outcome for one design point.
 
-    ``result`` is None when the point is infeasible; ``reason`` then
-    explains why.  ``method`` records which path produced the value.
+def phase(name: str, **labels: Any):
+    """Time a solver phase (``kernel``, ``fallback``, ``solve``, ...).
+
+    The duration lands in the running :func:`evaluate_table` call's
+    phase map (and so in ``stats.phases``); outside one it is dropped.
     """
-
-    point: DesignPoint
-    result: OptimizationResult | None
-    reason: str = ""
-    method: str = ""
-
-    @property
-    def feasible(self) -> bool:
-        return self.result is not None
+    timer = _ACTIVE_TIMER.get() or obs.PhaseTimer("engine")
+    return timer.phase(name, **labels)
 
 
 @dataclass(frozen=True)
@@ -137,35 +136,6 @@ class PointResult:
         area/cell spread across the thirteen multipliers is ~20 %).
         """
         return self.area if self.area > 0.0 else self.n_cells
-
-    @classmethod
-    def from_outcome(cls, outcome: PointOutcome) -> "PointResult":
-        point = outcome.point
-        arch = point.architecture
-        common = dict(
-            architecture=arch.name,
-            technology=point.technology.name,
-            frequency=point.frequency,
-            n_cells=arch.n_cells,
-            activity=arch.activity,
-            logical_depth=arch.logical_depth,
-            capacitance=arch.capacitance,
-            area=arch.area,
-            method=outcome.method,
-            reason=outcome.reason,
-        )
-        if outcome.result is None:
-            return cls(feasible=False, **common)
-        op = outcome.result.point
-        return cls(
-            feasible=True,
-            vdd=op.vdd,
-            vth=op.vth,
-            pdyn=op.pdyn,
-            pstat=op.pstat,
-            ptot=op.ptot,
-            **common,
-        )
 
     # Populated once after the class body: record (de)serialisation is
     # the serving layer's hot path (every response converts thousands of
@@ -232,29 +202,6 @@ class EvaluationStats:
         return cls(**payload)
 
     @classmethod
-    def from_outcomes(
-        cls,
-        outcomes: Sequence["PointOutcome"],
-        elapsed_seconds: float,
-        phases: Mapping[str, float] | None = None,
-    ) -> "EvaluationStats":
-        """Tally one evaluated batch (shared by ``explore`` and ``Study``)."""
-        return cls(
-            n_candidates=len(outcomes),
-            n_feasible=sum(1 for o in outcomes if o.feasible),
-            n_vectorized=sum(
-                1 for o in outcomes if o.method == VECTORIZED_METHOD
-            ),
-            n_fallback=sum(
-                1
-                for o in outcomes
-                if o.method in (FALLBACK_METHOD, "numerical")
-            ),
-            elapsed_seconds=elapsed_seconds,
-            phases=dict(phases or {}),
-        )
-
-    @classmethod
     def from_table(
         cls,
         table: ResultTable,
@@ -269,7 +216,7 @@ class EvaluationStats:
             n_vectorized=int(np.count_nonzero(method == VECTORIZED_METHOD)),
             n_fallback=int(
                 np.count_nonzero(
-                    (method == FALLBACK_METHOD) | (method == "numerical")
+                    (method == FALLBACK_METHOD) | (method == NUMERICAL_METHOD)
                 )
             ),
             elapsed_seconds=elapsed_seconds,
@@ -332,37 +279,9 @@ class ExplorationResult:
         return "\n".join(lines)
 
 
-def _group_indices_by_technology(
-    points: Sequence[DesignPoint],
-) -> dict[Technology, list[int]]:
-    groups: dict[Technology, list[int]] = {}
-    for index, point in enumerate(points):
-        groups.setdefault(point.technology, []).append(index)
-    return groups
 
 
-def _vectorized_outcome(point: DesignPoint, batch, position: int) -> PointOutcome:
-    operating_point = OperatingPoint(
-        vdd=float(batch.vdd[position]),
-        vth=float(batch.vth[position]),
-        pdyn=float(batch.pdyn[position]),
-        pstat=float(batch.pstat[position]),
-        method=VECTORIZED_METHOD,
-    )
-    result = OptimizationResult(
-        architecture=point.architecture,
-        technology=point.technology,
-        frequency=point.frequency,
-        point=operating_point,
-    )
-    return PointOutcome(
-        point=point, result=result, method=VECTORIZED_METHOD
-    )
-
-
-def _closed_form_reason_values(
-    name: str, margin: float, log_argument: float
-) -> str:
+def _closed_form_reason(name: str, margin: float, log_argument: float) -> str:
     """Reason string mirroring the scalar chain's exception messages."""
     if margin <= 0.0:
         chi_a = 1.0 - margin
@@ -376,30 +295,21 @@ def _closed_form_reason_values(
     )
 
 
-def _closed_form_reason(point: DesignPoint, batch, position: int) -> str:
-    return _closed_form_reason_values(
-        point.architecture.name,
-        float(batch.margin[position]),
-        float(batch.log_argument[position]),
-    )
-
-
-def _check_parity(points, batch, positions, indices) -> None:
+def _check_parity(
+    columns: ExpandedColumns, batch, positions, indices
+) -> None:
     """Spot-check vectorized values against the scalar closed form.
 
     ``positions`` index into the batch arrays, ``indices`` into the
-    original point list; both are aligned.  ``points`` may be a list of
-    :class:`DesignPoint` or anything indexable that yields them (the
-    columnar path passes a materialising shim).  Raises ``RuntimeError``
-    on drift — this is an internal-consistency invariant, not user
-    error.
+    expanded grid; both are aligned.  Raises ``RuntimeError`` on drift —
+    this is an internal-consistency invariant, not user error.
     """
     if not len(positions):
         return
     picks = sorted({0, len(positions) // 2, len(positions) - 1})
     for pick in picks[:PARITY_SAMPLES]:
         position, index = positions[pick], indices[pick]
-        point = points[index]
+        point = columns.design_point(index)
         scalar = closed_form_optimum(
             point.architecture, point.technology, point.frequency
         )
@@ -411,22 +321,6 @@ def _check_parity(points, batch, positions, indices) -> None:
                 f"batch Ptot={vector_ptot!r} vs closed form {scalar.ptot!r} "
                 f"(rel. drift {drift:.3e} > {PARITY_RTOL:g})"
             )
-
-
-class _ColumnPoints:
-    """Indexable shim materialising :class:`DesignPoint` on demand.
-
-    Lets the columnar path share :func:`_check_parity` (which touches
-    only the few sampled indices) without expanding the object list.
-    """
-
-    __slots__ = ("columns",)
-
-    def __init__(self, columns: ExpandedColumns) -> None:
-        self.columns = columns
-
-    def __getitem__(self, index: int) -> DesignPoint:
-        return self.columns.design_point(index)
 
 
 def _fallback_task(columns: ExpandedColumns, indices: np.ndarray):
@@ -479,22 +373,30 @@ def _fallback_task(columns: ExpandedColumns, indices: np.ndarray):
     )
 
 
-def _evaluate_columns(
-    columns: ExpandedColumns,
-    method: str,
-    parity_check: bool,
-    timer: "obs.PhaseTimer | None" = None,
-) -> ResultTable:
-    """The columnar batch core for ``auto`` and ``closed-form``.
+def _solve_flagged(columns: ExpandedColumns, indices: np.ndarray):
+    """Exact numerical optimum of the flagged rows, scalar or batch by size."""
+    from ..solvers.batch_numerical import solve_batch
+    from ..solvers.scalar import solve_rows
 
-    One vectorized kernel call per technology group, one vectorized
-    exact-numerical solve for the whole flagged set, results assembled
-    by mask assignment into the table's column arrays — no per-point
-    Python objects anywhere on this path.  ``timer`` accumulates the
-    ``kernel`` and ``fallback`` phase durations (and mirrors them as
-    spans when a tracer is active).
+    if indices.size < SCALAR_FALLBACK_ROWS:
+        # scipy's search steps through NaN on infeasible rows; the batch
+        # port stays silent there, and so does this path.
+        with np.errstate(invalid="ignore"):
+            return solve_rows(numerical_optimum, columns, indices)
+    return solve_batch(_fallback_task(columns, indices))
+
+
+def _evaluate_columns(columns: ExpandedColumns, method: str) -> ResultTable:
+    """The columnar core of the ``auto``, ``vectorized`` and ``numerical`` solvers.
+
+    One vectorized kernel call per technology group, one exact
+    numerical solve for the whole flagged set, results assembled by
+    mask assignment into the table's column arrays.  ``vectorized``
+    keeps every kernel row it can evaluate and flags none; ``auto``
+    flags the rows the kernel does not trust; ``numerical`` skips the
+    kernel and flags every row.  The ``kernel`` and ``fallback`` phase
+    durations go to the active :func:`evaluate_table` timer.
     """
-    timer = timer if timer is not None else obs.PhaseTimer("engine")
     deadline = current_deadline()
     rows_done = 0
     n = columns.n
@@ -504,14 +406,16 @@ def _evaluate_columns(
     pstat = np.full(n, np.nan)
     ptot = np.full(n, np.nan)
     feasible = np.zeros(n, dtype=bool)
-    method_column = np.empty(n, dtype=object)
-    method_column.fill(VECTORIZED_METHOD)
-    reason = np.empty(n, dtype=object)
-    reason.fill("")
-    flagged = np.zeros(n, dtype=bool)
+    method_column = str_column(n, VECTORIZED_METHOD)
+    reason = str_column(n, "")
+    flagged = np.full(n, method == "numerical")
+    fallback_method = (
+        NUMERICAL_METHOD if method == "numerical" else FALLBACK_METHOD
+    )
 
-    with timer.phase("kernel"):
-        for tech_position, tech in enumerate(columns.technologies):
+    kernel_technologies = () if method == "numerical" else columns.technologies
+    with phase("kernel"):
+        for tech_position, tech in enumerate(kernel_technologies):
             indices = np.flatnonzero(columns.tech_index == tech_position)
             if not indices.size:
                 continue
@@ -533,7 +437,7 @@ def _evaluate_columns(
                     tech, **batch_arrays_for_columns(columns, part)
                 )
                 trusted = batch.feasible & ~batch.needs_fallback
-                keep = batch.feasible if method == "closed-form" else trusted
+                keep = batch.feasible if method == "vectorized" else trusted
                 kept = part[keep]
                 vdd[kept] = batch.vdd[keep]
                 vth[kept] = batch.vth[keep]
@@ -541,30 +445,24 @@ def _evaluate_columns(
                 pstat[kept] = batch.pstat[keep]
                 ptot[kept] = batch.ptot[keep]
                 feasible[kept] = True
-                if method == "closed-form":
+                if method == "vectorized":
                     for position, index in zip(
                         np.flatnonzero(~batch.feasible).tolist(),
                         part[~batch.feasible].tolist(),
                     ):
-                        reason[index] = _closed_form_reason_values(
+                        reason[index] = _closed_form_reason(
                             columns.arch_name[index],
                             float(batch.margin[position]),
                             float(batch.log_argument[position]),
                         )
                 else:
                     flagged[part[~trusted]] = True
-                if parity_check:
-                    _check_parity(
-                        _ColumnPoints(columns),
-                        batch,
-                        np.flatnonzero(trusted),
-                        part[trusted],
-                    )
+                _check_parity(
+                    columns, batch, np.flatnonzero(trusted), part[trusted]
+                )
                 rows_done += int(part.size)
 
     if flagged.any():
-        from ..solvers.batch_numerical import solve_batch
-
         flagged_indices = np.flatnonzero(flagged)
         if deadline is not None:
             deadline.check(
@@ -573,216 +471,123 @@ def _evaluate_columns(
                 rows_total=n,
                 fallback_points=int(flagged_indices.size),
             )
-        with timer.phase("fallback", points=int(flagged_indices.size)):
-            solution = solve_batch(_fallback_task(columns, flagged_indices))
+        with phase("fallback", points=int(flagged_indices.size)):
+            solution = _solve_flagged(columns, flagged_indices)
         vdd[flagged_indices] = solution.vdd
         vth[flagged_indices] = solution.vth
         pdyn[flagged_indices] = solution.pdyn
         pstat[flagged_indices] = solution.pstat
         ptot[flagged_indices] = solution.ptot
         feasible[flagged_indices] = solution.feasible
-        method_column[flagged_indices] = FALLBACK_METHOD
+        method_column[flagged_indices] = fallback_method
         reason[flagged_indices] = solution.reason
 
-    return ResultTable(
-        {
-            "architecture": columns.arch_name,
-            "technology": columns.tech_name,
-            "frequency": columns.frequency,
-            "n_cells": columns.n_cells,
-            "activity": columns.activity,
-            "logical_depth": columns.logical_depth,
-            "capacitance": columns.capacitance,
-            "area": columns.area,
-            "feasible": feasible,
-            "method": method_column,
-            "vdd": vdd,
-            "vth": vth,
-            "pdyn": pdyn,
-            "pstat": pstat,
-            "ptot": ptot,
-            "reason": reason,
-        }
+    return ResultTable.for_columns(
+        columns,
+        feasible=feasible,
+        method=method_column,
+        vdd=vdd,
+        vth=vth,
+        pdyn=pdyn,
+        pstat=pstat,
+        ptot=ptot,
+        reason=reason,
     )
-
-
-def evaluate_points(
-    points: Sequence[DesignPoint],
-    method: str = "auto",
-    jobs: int | None = None,
-    parity_check: bool = True,
-) -> list[PointOutcome]:
-    """Evaluate every design point; outcomes align with ``points``.
-
-    Methods
-    -------
-    ``"auto"``
-        Vectorized closed form for the trusted interior; vectorized
-        exact-numerical solve for flagged and infeasible points (no
-        scipy calls, no process pool).
-    ``"closed-form"``
-        Vectorized closed form everywhere it is defined; no scipy calls.
-    ``"numerical"``
-        The reference solver for every point — one scipy call each,
-        chunked over the multiprocessing pool.
-    """
-    if method not in EVALUATION_METHODS:
-        raise ValueError(
-            f"unknown method {method!r}; expected one of {EVALUATION_METHODS}"
-        )
-    points = list(points)
-    outcomes: list[PointOutcome | None] = [None] * len(points)
-
-    if method == "numerical":
-        for index, (result, reason) in enumerate(
-            executor_module.run_numerical(points, jobs=jobs)
-        ):
-            outcomes[index] = PointOutcome(
-                point=points[index],
-                result=result,
-                reason=reason,
-                method="numerical",
-            )
-        return outcomes  # type: ignore[return-value]
-
-    fallback_indices: list[int] = []
-    for tech, indices in _group_indices_by_technology(points).items():
-        group = [points[i] for i in indices]
-        batch = closed_form_batch(tech, **batch_arrays_for_points(group))
-        vectorized_positions: list[int] = []
-        vectorized_indices: list[int] = []
-        for position, index in enumerate(indices):
-            trusted = bool(batch.feasible[position]) and not bool(
-                batch.needs_fallback[position]
-            )
-            if trusted or (method == "closed-form" and batch.feasible[position]):
-                outcomes[index] = _vectorized_outcome(
-                    points[index], batch, position
-                )
-                if trusted:
-                    vectorized_positions.append(position)
-                    vectorized_indices.append(index)
-            elif method == "closed-form":
-                outcomes[index] = PointOutcome(
-                    point=points[index],
-                    result=None,
-                    reason=_closed_form_reason(points[index], batch, position),
-                    method=VECTORIZED_METHOD,
-                )
-            else:
-                fallback_indices.append(index)
-        if parity_check:
-            _check_parity(points, batch, vectorized_positions, vectorized_indices)
-
-    if fallback_indices:
-        from ..solvers.batch_numerical import (
-            METHOD as BATCH_METHOD,
-            solve_points,
-        )
-
-        fallback_points = [points[i] for i in fallback_indices]
-        solution = solve_points(fallback_points)
-        for position, index in enumerate(fallback_indices):
-            point = points[index]
-            if solution.feasible[position]:
-                operating_point = OperatingPoint(
-                    vdd=float(solution.vdd[position]),
-                    vth=float(solution.vth[position]),
-                    pdyn=float(solution.pdyn[position]),
-                    pstat=float(solution.pstat[position]),
-                    method=BATCH_METHOD,
-                )
-                result = OptimizationResult(
-                    architecture=point.architecture,
-                    technology=point.technology,
-                    frequency=point.frequency,
-                    point=operating_point,
-                )
-                reason = ""
-            else:
-                result = None
-                reason = solution.reason[position]
-            outcomes[index] = PointOutcome(
-                point=point,
-                result=result,
-                reason=reason,
-                method=FALLBACK_METHOD,
-            )
-    return outcomes  # type: ignore[return-value]
 
 
 def evaluate_table(
     scenario: Scenario,
-    method: str = "auto",
-    jobs: int | None = None,
-    parity_check: bool = True,
+    method: "str | Solver" = "auto",
+    options: Mapping[str, Any] | None = None,
     timer: "obs.PhaseTimer | None" = None,
 ) -> ResultTable:
     """Evaluate a scenario straight to a columnar :class:`ResultTable`.
 
-    The batch front door: ``auto`` and ``closed-form`` never build a
-    per-point object; ``numerical`` (the scipy-per-point reference)
-    still expands to ``DesignPoint`` objects for the pool and converts
-    once at the end.  Pass an :class:`~repro.obs.PhaseTimer` to collect
-    the per-phase wall-time breakdown (``expand``, ``kernel``,
-    ``fallback``; the numerical path records ``expand``, ``solve``,
-    ``assemble``).
+    ``method`` is a solver registry name or a :class:`~repro.solvers.
+    Solver`; ``options`` are its keywords.  Pass an
+    :class:`~repro.obs.PhaseTimer` to collect the per-phase wall-time
+    breakdown (``expand``, then ``kernel`` and ``fallback`` for the
+    batch solvers, ``solve`` for the scalar ones).
     """
-    if method not in EVALUATION_METHODS:
-        raise ValueError(
-            f"unknown method {method!r}; expected one of {EVALUATION_METHODS}"
-        )
+    from ..solvers import get_solver
+
+    solver = get_solver(method)
     timer = timer if timer is not None else obs.PhaseTimer("engine")
-    if method == "numerical":
-        with timer.phase("expand"):
-            points = scenario.expand()
-        with timer.phase("solve"):
-            outcomes = evaluate_points(
-                points, method=method, jobs=jobs, parity_check=parity_check
-            )
-        with timer.phase("assemble"):
-            return ResultTable.from_outcomes(outcomes)
     with timer.phase("expand"):
         columns = expand_columns(scenario)
-    return _evaluate_columns(
-        columns, method=method, parity_check=parity_check, timer=timer
+    token = _ACTIVE_TIMER.set(timer)
+    try:
+        return solver.solve(columns, **dict(options or {}))
+    finally:
+        _ACTIVE_TIMER.reset(token)
+
+
+def cache_key(
+    scenario: Scenario,
+    solver: "str | Solver",
+    options: Mapping[str, Any] | None = None,
+) -> str:
+    """The one result-cache (and single-flight) key of a sweep.
+
+    Covers everything a result depends on: the sweep itself, the solver
+    (by registry name, so ``"closed-form"`` and ``"closed_form"`` share
+    entries) and its options, the payload schema, the package version
+    (a proxy for model-equation changes) and the kernel's fallback
+    thresholds — a release that moves any of them misses the old
+    entries instead of serving stale results.
+    """
+    from .. import __version__
+    from ..solvers import get_solver
+    from .vectorized import FALLBACK_MARGIN, FIT_RANGE_TOLERANCE, VTH_FLOOR_NUT
+
+    return content_hash(
+        {
+            "scenario": scenario.to_dict(),
+            "schema": CACHE_SCHEMA_VERSION,
+            "version": __version__,
+            "fallback": [FALLBACK_MARGIN, FIT_RANGE_TOLERANCE, VTH_FLOOR_NUT],
+            "solver": get_solver(solver).name,
+            "options": dict(options or {}),
+        }
     )
 
 
-def cache_key_payload(scenario: Scenario) -> dict[str, Any]:
-    """Everything a cached sweep's numbers depend on, minus the solve path.
+def store_result(
+    cache: TieredCache,
+    key: str,
+    scenario: Scenario,
+    solver: str,
+    stats: EvaluationStats,
+    table: ResultTable,
+) -> Path | None:
+    """Write one evaluated sweep under ``key``; None when the write fails.
 
-    Shared by this engine's cache key and :class:`repro.study.Study`'s
-    registry-path key (each adds its own solve-path discriminator), so a
-    future invalidation input — a new kernel threshold, a schema bump —
-    is added once and moves every key.  The payload covers the sweep
-    itself, the payload schema, the package version (a proxy for
-    model-equation changes) and the kernel's fallback thresholds, so a
-    release that moves any of them misses the old entries instead of
-    serving stale results.
+    A failed cache write must not fail the sweep: the result is already
+    computed and correct.
     """
-    from .. import __version__
-    from .vectorized import FALLBACK_MARGIN, FIT_RANGE_TOLERANCE, VTH_FLOOR_NUT
-
-    return {
-        "scenario": scenario.to_dict(),
-        "schema": CACHE_SCHEMA_VERSION,
-        "version": __version__,
-        "fallback": [FALLBACK_MARGIN, FIT_RANGE_TOLERANCE, VTH_FLOOR_NUT],
-    }
-
-
-def _cache_key(scenario: Scenario, method: str) -> str:
-    return content_hash({**cache_key_payload(scenario), "method": method})
+    try:
+        return cache.put(
+            key,
+            {
+                "schema": CACHE_SCHEMA_VERSION,
+                "solver": solver,
+                "scenario": scenario.to_dict(),
+                "stats": stats.to_dict(),
+                "parity_checked": stats.n_vectorized > 0,
+                "columns": table.to_payload_columns(),
+            },
+        )
+    except (OSError, faults.FaultError):
+        obs.inc("cache.disk.write_errors")
+        return None
 
 
 def explore(
     scenario: Scenario,
-    method: str = "auto",
-    jobs: int | None = None,
+    method: "str | Solver" = "auto",
+    options: Mapping[str, Any] | None = None,
     cache: TieredCache | ResultCache | str | Path | None = None,
     use_cache: bool = True,
-    parity_check: bool = True,
 ) -> ExplorationResult:
     """Evaluate a scenario end to end, through the tiered result cache.
 
@@ -791,10 +596,11 @@ def explore(
     scenario:
         The sweep definition.
     method:
-        ``"auto"`` (default), ``"closed-form"`` or ``"numerical"``.
-    jobs:
-        Worker processes for the ``"numerical"`` reference method (the
-        auto fallback is vectorized and needs none).
+        A solver registry name (``"auto"`` by default, ``"vectorized"``,
+        ``"numerical"``, ``"closed_form"``, ...) or a
+        :class:`~repro.solvers.Solver`.
+    options:
+        Solver keywords, e.g. ``{"vth_max": 0.45}`` for ``"bounded"``.
     cache:
         A :class:`~repro.service.memcache.TieredCache`, a bare
         :class:`ResultCache`, a directory for one, or None for the
@@ -804,13 +610,15 @@ def explore(
         the disk read.
     use_cache:
         When False, neither reads nor writes the cache.
-    parity_check:
-        Forwarded to the evaluation core.
     """
+    from ..solvers import get_solver
+
+    solver = get_solver(method)
+    options = dict(options or {})
     timer = obs.PhaseTimer("engine")
-    with obs.span("engine.explore", method=method):
+    with obs.span("engine.explore", method=solver.name):
         cache = as_cache(cache)
-        key = _cache_key(scenario, method)
+        key = cache_key(scenario, solver, options)
 
         if use_cache:
             with timer.phase("cache_read"):
@@ -830,13 +638,13 @@ def explore(
                     stored = None
                 else:
                     obs.inc(
-                        "engine.runs", method=method, outcome="cache_hit"
+                        "engine.runs", method=solver.name, outcome="cache_hit"
                     )
                     # A hit reports its own cost; the cold run's phase
                     # breakdown stays in the stored entry.
                     return ExplorationResult(
                         scenario=scenario,
-                        method=method,
+                        method=solver.name,
                         points=table.rows(),
                         stats=replace(stats, phases=dict(timer.phases)),
                         cache_hit=True,
@@ -849,10 +657,7 @@ def explore(
                     )
 
         started = time.perf_counter()
-        table = evaluate_table(
-            scenario, method=method, jobs=jobs, parity_check=parity_check,
-            timer=timer,
-        )
+        table = evaluate_table(scenario, solver, options, timer=timer)
         elapsed = time.perf_counter() - started
 
         with timer.phase("analysis"):
@@ -862,40 +667,25 @@ def explore(
         cache_path = None
         if use_cache:
             with timer.phase("cache_write"):
-                try:
-                    cache_path = cache.put(
-                        key,
-                        {
-                            "schema": CACHE_SCHEMA_VERSION,
-                            "method": method,
-                            "scenario": scenario.to_dict(),
-                            "stats": stats.to_dict(),
-                            "parity_checked": parity_check
-                            and method != "numerical",
-                            "columns": table.to_payload_columns(),
-                        },
-                    )
-                except (OSError, faults.FaultError):
-                    # A failed cache write must not fail the sweep: the
-                    # result is already computed and correct.
-                    obs.inc("cache.disk.write_errors")
-                    cache_path = None
+                cache_path = store_result(
+                    cache, key, scenario, solver.name, stats, table
+                )
         # The returned stats carry the complete phase map (including
         # cache_write, which the stored payload necessarily cannot).
         stats = replace(stats, phases=dict(timer.phases))
-        obs.inc("engine.runs", method=method, outcome="computed")
+        obs.inc("engine.runs", method=solver.name, outcome="computed")
         obs.inc("engine.points_evaluated", stats.n_candidates)
         obs.inc("engine.kernel_seconds", timer.phases.get("kernel", 0.0))
         if stats.n_fallback:
             obs.inc("engine.fallback_points", stats.n_fallback)
         return ExplorationResult(
             scenario=scenario,
-            method=method,
+            method=solver.name,
             points=table.rows(),
             stats=stats,
             cache_hit=False,
             cache_key=key,
             cache_path=cache_path,
-            parity_checked=parity_check and method != "numerical",
+            parity_checked=stats.n_vectorized > 0,
             table=table,
         )

@@ -197,27 +197,6 @@ BATCH_INPUTS = (
 )
 
 
-def batch_arrays_for_points(points) -> dict[str, np.ndarray]:
-    """Column arrays for a list of :class:`~.scenario.DesignPoint`.
-
-    The object-path bridge from point lists to array-land: one flat
-    array per Eq. 13 input, aligned with ``points``.  The columnar
-    path uses :func:`batch_arrays_for_columns` instead and never
-    materialises the objects.
-    """
-    return {
-        "n_cells": np.array([p.architecture.n_cells for p in points]),
-        "activity": np.array([p.architecture.activity for p in points]),
-        "logical_depth": np.array(
-            [p.architecture.logical_depth for p in points]
-        ),
-        "capacitance": np.array([p.architecture.capacitance for p in points]),
-        "frequency": np.array([p.frequency for p in points]),
-        "io_factor": np.array([p.architecture.io_factor for p in points]),
-        "zeta_factor": np.array([p.architecture.zeta_factor for p in points]),
-    }
-
-
 def batch_arrays_for_columns(columns, indices) -> dict[str, np.ndarray]:
     """The kernel's input slice for a subset of an expanded columnar grid.
 

@@ -23,7 +23,6 @@ from .manager import (
     JobStateError,
     JobTimeout,
     WorkerPool,
-    flight_key,
 )
 from .sharder import Shard, merge_stats, merge_tables, shard_scenario
 from .store import (
@@ -52,7 +51,6 @@ __all__ = [
     "TERMINAL_STATES",
     "WorkerPool",
     "default_jobs_dir",
-    "flight_key",
     "merge_stats",
     "merge_tables",
     "shard_scenario",

@@ -9,9 +9,12 @@ cores), then scatter-merged back into one
 :class:`~repro.explore.columnar.ResultTable` that is bit-identical to
 the unsharded run.
 
-Jobs share the service's single-flight :class:`~repro.service.coalesce.
-Coalescer` under the same :func:`flight_key` the inline ``/v1/explore``
-path computes, so an identical sweep submitted as a job while an inline
+Every solver shards the same way: each shard is one
+:func:`~repro.explore.engine.explore` call with the job's solver and
+options.  Jobs share the service's single-flight
+:class:`~repro.service.coalesce.Coalescer` under the same
+:func:`~repro.explore.engine.cache_key` the inline ``/v1/explore`` path
+computes, so an identical sweep submitted as a job while an inline
 request is in flight (or vice versa) costs one engine run.  The merged
 result is also written to the engine's result cache under the inline
 key, so later inline explores of the same scenario are cache hits.
@@ -36,19 +39,20 @@ from typing import Any, Callable, Iterator, Mapping
 
 from .. import obs
 from ..resilience import Deadline, DeadlineExceeded, faults
-from ..explore.cache import CACHE_SCHEMA_VERSION, ResultCache, content_hash
+from ..explore.cache import ResultCache
 from ..explore.columnar import ResultTable
 from ..explore.engine import (
     EvaluationStats,
     ExplorationResult,
-    cache_key_payload,
+    cache_key,
     explore,
+    store_result,
 )
 from ..explore.scenario import Scenario
 from ..service.coalesce import Coalescer
 from ..service.memcache import TieredCache, as_cache
-from ..solvers import EngineSolver, get_solver
-from ..study import ResultSet, Study
+from ..solvers import get_solver
+from ..study import ResultSet
 from .sharder import Shard, merge_stats, merge_tables, shard_scenario
 from .store import JobRecord, JobStore
 
@@ -59,7 +63,6 @@ __all__ = [
     "JobTimeout",
     "JobManager",
     "WorkerPool",
-    "flight_key",
 ]
 
 #: How long the dispatcher sleeps between queue checks while idle.
@@ -84,25 +87,6 @@ class JobStateError(JobError):
 
 class JobTimeout(JobError):
     """``wait()`` gave up before the job reached a terminal state."""
-
-
-def flight_key(
-    scenario: Scenario, solver: str, options: Mapping[str, Any]
-) -> str:
-    """The single-flight key a (scenario, solve policy) request shares.
-
-    Exactly the key :meth:`repro.service.server.ServiceState.run_scenario`
-    computes for inline requests — identical sweeps submitted as a job
-    and posted to ``/v1/explore`` concurrently therefore join one
-    coalescer flight and cost one engine run.
-    """
-    return content_hash(
-        {
-            **cache_key_payload(scenario),
-            "solver": solver,
-            "options": dict(options),
-        }
-    )
 
 
 def _default_pool_size() -> int:
@@ -136,10 +120,10 @@ class WorkerPool:
             executor.shutdown(wait=True, cancel_futures=True)
 
 
-#: Signature of the pluggable shard evaluator: (shard scenario, engine
-#: method) in, ExplorationResult out.  Tests inject gates/counters here
-#: without monkey-patching the engine.
-EvaluateShard = Callable[[Scenario, str], ExplorationResult]
+#: Signature of the pluggable shard evaluator: (shard scenario, solver
+#: name, solver options) in, ExplorationResult out.  Tests inject
+#: gates/counters here without monkey-patching the engine.
+EvaluateShard = Callable[[Scenario, str, Mapping[str, Any]], ExplorationResult]
 
 
 class JobManager:
@@ -232,13 +216,8 @@ class JobManager:
                 f"deadline_ms must be >= 1, got {deadline_ms}"
             )
         options = dict(options or {})
-        solver_obj = get_solver(solver)
-        solver = solver_obj.name
-        planned = (
-            len(shard_scenario(scenario, shards))
-            if isinstance(solver_obj, EngineSolver) and not options
-            else 1
-        )
+        solver = get_solver(solver).name
+        planned = len(shard_scenario(scenario, shards))
         # Capture the submitting thread's trace context (the server's
         # request handler activates one per traced request), so the
         # job's spans — run later, on other threads — stitch under the
@@ -376,14 +355,17 @@ class JobManager:
             return
         self.store.transition(job_id, "running")
         scenario = Scenario.from_dict(record.scenario)
-        key = flight_key(scenario, record.solver, record.options)
         started = time.perf_counter()
         tracer, context = self._trace_scope(record)
         try:
             with obs.adopt(tracer, context):
                 with obs.span("jobs.run", job=job_id, solver=record.solver):
+                    # Inside the failure boundary: a job persisted under
+                    # a since-removed solver name fails here, cleanly.
+                    key = cache_key(scenario, record.solver, record.options)
                     result, coalesced = self.coalescer.run(
-                        key, lambda: self._produce(record, scenario, cancel)
+                        key,
+                        lambda: self._produce(record, scenario, key, cancel),
                     )
         except JobCancelled:
             self.store.transition(job_id, "cancelled")
@@ -429,31 +411,20 @@ class JobManager:
 
     # -- producers (run under the coalescer flight) ---------------------------
     def _explore_shard(
-        self, scenario: Scenario, method: str
+        self, scenario: Scenario, solver: str, options: Mapping[str, Any]
     ) -> ExplorationResult:
         return explore(
             scenario,
-            method=method,
+            method=solver,
+            options=options,
             cache=self.cache,
             use_cache=self.use_cache,
         )
 
-    def _produce(
-        self,
-        record: JobRecord,
-        scenario: Scenario,
-        cancel: threading.Event,
-    ) -> ResultSet:
-        solver_obj = get_solver(record.solver)
-        if isinstance(solver_obj, EngineSolver) and not record.options:
-            return self._produce_sharded(record, scenario, solver_obj, cancel)
-        return self._produce_registry(record, scenario)
-
     def _run_shard(
         self,
-        record_id: str,
+        record: JobRecord,
         shard: Shard,
-        method: str,
         cancel: threading.Event,
         trace: "tuple[obs.SpanTracer | None, obs.TraceContext | None]" = (
             None,
@@ -461,7 +432,7 @@ class JobManager:
         ),
     ) -> tuple[ExplorationResult, float]:
         if cancel.is_set():
-            raise JobCancelled(record_id)
+            raise JobCancelled(record.id)
         faults.check("shard.run")
         # Adopt the dispatcher's tracer + context on this pool thread:
         # the shard span (and the engine phase spans beneath it) parent
@@ -469,17 +440,18 @@ class JobManager:
         with obs.adopt(*trace):
             started = time.perf_counter()
             with obs.span("jobs.shard", shard=shard.index + 1, of=shard.count):
-                exploration = self._evaluate_shard(shard.scenario, method)
+                exploration = self._evaluate_shard(
+                    shard.scenario, record.solver, record.options
+                )
             return exploration, time.perf_counter() - started
 
-    def _produce_sharded(
+    def _produce(
         self,
         record: JobRecord,
         scenario: Scenario,
-        solver: EngineSolver,
+        key: str,
         cancel: threading.Event,
     ) -> ResultSet:
-        method = solver.engine_method
         shards = shard_scenario(scenario, record.shards)
         self.store.update_progress(
             record.id,
@@ -507,9 +479,8 @@ class JobManager:
         def submit_one(shard: Shard):
             return self.pool.submit(
                 self._run_shard,
-                record.id,
+                record,
                 shard,
-                method,
                 cancel,
                 trace=(tracer, shard_context),
             )
@@ -677,10 +648,6 @@ class JobManager:
                 [exploration.stats for _, exploration in pairs],
                 elapsed_seconds=time.perf_counter() - started,
             )
-        engine_key = content_hash(
-            {**cache_key_payload(scenario), "method": method}
-        )
-        parity = all(exploration.parity_checked for _, exploration in pairs)
         if partial:
             obs.inc("jobs.partial_results")
             self.store.add_event(
@@ -695,43 +662,15 @@ class JobManager:
             # Under the inline explore() key, so a later inline request
             # for the full scenario is a cache hit, not a re-run.  A
             # partial table must never be cached under the full key.
-            try:
-                self.cache.put(
-                    engine_key,
-                    {
-                        "schema": CACHE_SCHEMA_VERSION,
-                        "method": method,
-                        "scenario": scenario.to_dict(),
-                        "stats": stats.to_dict(),
-                        "parity_checked": parity,
-                        "columns": table.to_payload_columns(),
-                    },
-                )
-            except (OSError, faults.FaultError):
-                obs.inc("cache.disk.write_errors")
+            store_result(self.cache, key, scenario, record.solver, stats, table)
         return ResultSet(
             records=table.rows(),
-            solver=solver.name,
+            solver=record.solver,
             scenario=scenario,
             stats=stats,
             cache_hit=False,
-            cache_key=engine_key,
+            cache_key=key,
             partial=partial,
-        )
-
-    def _produce_registry(
-        self, record: JobRecord, scenario: Scenario
-    ) -> ResultSet:
-        # Scalar/custom solvers and option-carrying runs evaluate as one
-        # unit through the Study registry contract (same path as inline).
-        self.store.update_progress(
-            record.id, shards_total=1, points_total=scenario.size
-        )
-        return (
-            Study.from_scenario(scenario)
-            .solver(record.solver, **record.options)
-            .cached(self.cache, enabled=self.use_cache)
-            .run()
         )
 
     def _result_payload(

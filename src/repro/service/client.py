@@ -292,7 +292,6 @@ class ServiceClient:
         self,
         scenario: Scenario,
         solver: str = "auto",
-        jobs: int | None = None,
         options: dict[str, Any] | None = None,
         stream: bool | None = None,
     ) -> ResultSet:
@@ -307,8 +306,6 @@ class ServiceClient:
             "scenario": scenario.to_dict(),
             "solver": solver,
         }
-        if jobs is not None:
-            payload["jobs"] = jobs
         if options:
             payload["options"] = options
         if stream:
@@ -463,7 +460,6 @@ class RemoteStudy(Study):
         return self._client.explore(
             self.scenario(),
             solver=self.solver_name,
-            jobs=self._jobs,
             options=self._solver_options,
         )
 

@@ -84,9 +84,8 @@ from ..resilience import (
     install_faults,
     uninstall_faults,
 )
-from ..explore.cache import content_hash
 from ..explore.columnar import ResultRows
-from ..explore.engine import cache_key_payload
+from ..explore.engine import cache_key
 from ..explore.scenario import FrequencyGrid, Scenario
 from ..jobs import (
     JobCancelled,
@@ -246,7 +245,7 @@ class ServiceConfig:
 #: Signature of the pluggable evaluation hook: scenario + solve policy
 #: in, ResultSet out.  Benchmarks and tests wrap the default to inject
 #: latency or count invocations without monkey-patching the engine.
-Evaluate = Callable[[Scenario, str, "int | None", dict[str, Any]], ResultSet]
+Evaluate = Callable[[Scenario, str, dict[str, Any]], ResultSet]
 
 
 @dataclass
@@ -347,16 +346,11 @@ class ServiceState:
 
     # -- evaluation ----------------------------------------------------------
     def _evaluate_study(
-        self,
-        scenario: Scenario,
-        solver: str,
-        jobs: int | None,
-        options: dict[str, Any],
+        self, scenario: Scenario, solver: str, options: dict[str, Any]
     ) -> ResultSet:
         return (
             Study.from_scenario(scenario)
             .solver(solver, **options)
-            .jobs(jobs)
             .cached(self.cache, enabled=self.config.use_cache)
             .run()
         )
@@ -365,22 +359,15 @@ class ServiceState:
         self,
         scenario: Scenario,
         solver: str,
-        jobs: int | None,
         options: dict[str, Any],
     ) -> tuple[ResultSet, bool]:
         """One bounded, coalesced, cached evaluation → (result, coalesced)."""
-        key = content_hash(
-            {
-                **cache_key_payload(scenario),
-                "solver": solver,
-                "options": options,
-            }
-        )
+        key = cache_key(scenario, solver, options)
 
         def produce() -> ResultSet:
             with self.admission.admit(cost=scenario.size):
                 with self.work_semaphore:
-                    result = self.evaluate(scenario, solver, jobs, options)
+                    result = self.evaluate(scenario, solver, options)
             if not result.cache_hit:
                 self.count_engine_run()
             return result
@@ -479,21 +466,10 @@ def _parse_solver(payload: dict[str, Any]) -> tuple[str, dict[str, Any]]:
     return solver, options
 
 
-def _parse_jobs(payload: dict[str, Any]) -> int | None:
-    jobs = payload.get("jobs")
-    if jobs is None:
-        return None
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise ServiceError(
-            400, "bad-jobs", f"'jobs' must be a positive integer, got {jobs!r}"
-        )
-    return jobs
-
-
 def parse_explore_request(
     payload: dict[str, Any],
-) -> tuple[Scenario, str, int | None, dict[str, Any]]:
-    """``POST /v1/explore`` body → (scenario, solver, jobs, options)."""
+) -> tuple[Scenario, str, dict[str, Any]]:
+    """``POST /v1/explore`` body → (scenario, solver, options)."""
     scenario_spec = _require(payload, "scenario")
     if not isinstance(scenario_spec, dict):
         raise ServiceError(
@@ -506,7 +482,7 @@ def parse_explore_request(
             400, "bad-scenario", f"invalid scenario: {error!r}"
         ) from None
     solver, options = _parse_solver(payload)
-    return scenario, solver, _parse_jobs(payload), options
+    return scenario, solver, options
 
 
 def parse_optimize_request(
@@ -1011,11 +987,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, {"trace": trace})
 
     def _route_explore(self) -> None:
-        scenario, solver, jobs, options = parse_explore_request(
+        scenario, solver, options = parse_explore_request(
             self._read_json_body()
         )
         result, coalesced = self.server.state.run_scenario(
-            scenario, solver, jobs, options
+            scenario, solver, options
         )
         self._note = (
             f"{scenario.size} candidates"
@@ -1032,7 +1008,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._read_json_body()
         )
         result, coalesced = self.server.state.run_scenario(
-            scenario, solver, None, options
+            scenario, solver, options
         )
         record = result[0]
         self._note = "cache-hit" if result.cache_hit else "evaluated"
@@ -1052,7 +1028,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _route_jobs_submit(self) -> None:
         payload = self._read_json_body()
-        scenario, solver, _, options = parse_explore_request(payload)
+        scenario, solver, options = parse_explore_request(payload)
         shards = payload.get("shards")
         if shards is not None and (
             not isinstance(shards, int)

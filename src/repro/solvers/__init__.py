@@ -5,25 +5,26 @@ One protocol, one registry, six built-in entries:
 =============== =============================================================
 ``closed_form`` scalar Section 3 chain (Eqs. 9/10/8), one point at a time
 ``linearized``  numerical optimum on the linearised constraint (ablation A4)
-``numerical``   exact numerical reference, parallel over a process pool
-``vectorized``  numpy Eq. 9–13 batch kernel, no scipy calls
+``numerical``   exact numerical reference for every point
+``vectorized``  numpy Eq. 9–13 batch kernel, no numerical solve
 ``bounded``     exact optimum under practical Vth/Vdd caps
 ``auto``        vectorized kernel with exact-numerical fallback at the edges
 =============== =============================================================
 
-All of them honour the same contract (see :mod:`repro.solvers.base`):
-``solve(points, jobs=None, **options)`` returns one
-:class:`~repro.explore.engine.PointOutcome` per design point, in order,
-with infeasibility reported as data rather than raised.  Register your
-own with :func:`register_solver` and it becomes addressable from
-``Study(...).solver("your-name")`` and the CLI immediately.
+All of them honour the same columnar contract (see
+:mod:`repro.solvers.base`): ``solve(columns, **options)`` takes the
+scenario's expanded candidate grid and returns a row-aligned
+:class:`~repro.explore.columnar.ResultTable`, with infeasibility
+reported as data rather than raised.  Register your own with
+:func:`register_solver` and it becomes addressable from
+``Study(...).solver("your-name")``, :func:`repro.explore.engine.explore`,
+jobs, the service and the CLI immediately.
 
 :mod:`repro.solvers.batch_numerical` is not a registry entry but the
-vectorized kernel underneath ``auto``'s exact-numerical fallback: a
-lockstep numpy port of the bounded scipy search that solves the whole
-flagged set at once, bit-identical to ``numerical_optimum`` — the
-per-point scipy pool now serves only the ``numerical`` reference
-method.
+vectorized kernel underneath the exact-numerical solves of ``auto`` and
+``numerical``: a lockstep numpy port of the bounded scipy search that
+solves a whole flagged set at once, bit-identical to
+``numerical_optimum``.
 """
 
 from .base import Solver, SolverError, check_options

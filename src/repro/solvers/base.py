@@ -1,32 +1,36 @@
 """The :class:`Solver` protocol — one signature for every solve path.
 
-Historically the repository answered "which (Vdd, Vth) minimises total
-power at frequency f?" through five functions with five shapes:
-``closed_form_optimum`` and ``numerical_optimum`` (scalar, raising on
-infeasibility), ``numerical_optimum_linearized`` and ``bounded_optimum``
-(scalar with extra knobs), and the explore engine's ``evaluate_points``
-(batch, infeasibility-as-data).  A :class:`Solver` normalises all of them
-to one contract:
+Every way the repository answers "which (Vdd, Vth) minimises total
+power at frequency f?" — the vectorized kernel, the exact numerical
+reference, the scalar closed form, the bounded and linearised variants,
+and any solver a user registers — honours one columnar contract:
 
-    ``solve(points, jobs=None, **options) -> list[PointOutcome]``
+    ``solve(columns, **options) -> ResultTable``
 
-* ``points`` is any sequence of :class:`repro.explore.scenario.
-  DesignPoint`; the returned list is aligned with it, one outcome per
-  point, in order.
-* Infeasibility is **data, not an exception**: an infeasible point comes
-  back as a :class:`repro.explore.engine.PointOutcome` with ``result``
-  None and a human-readable ``reason``.
-* ``jobs`` is a parallelism *hint*; purely scalar solvers may ignore it.
+* ``columns`` is the scenario's candidate grid as an
+  :class:`repro.explore.columnar.ExpandedColumns` (one array per model
+  input, one row per candidate, ``columns.design_point(i)`` materialises
+  row ``i`` when a solver needs the objects).
+* The returned :class:`repro.explore.columnar.ResultTable` is aligned
+  with ``columns``, row for row;
+  :meth:`~repro.explore.columnar.ResultTable.for_columns` builds one
+  from the solver's result arrays.
+* Infeasibility is **data, not an exception**: an infeasible row has
+  ``feasible`` False, NaN operating point and a human-readable
+  ``reason``.
 * ``options`` are solver-specific keywords (e.g. ``vth_max`` for the
   bounded solver); solvers must reject unknown options loudly.
+
+:func:`repro.explore.engine.explore` is the one door every caller goes
+through; it expands the scenario, caches by :func:`~repro.explore.
+engine.cache_key` and calls ``solve``.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
-from ..explore.engine import PointOutcome
-from ..explore.scenario import DesignPoint
+from ..explore.columnar import ExpandedColumns, ResultTable
 
 __all__ = ["Solver", "SolverError"]
 
@@ -37,7 +41,7 @@ class SolverError(ValueError):
 
 @runtime_checkable
 class Solver(Protocol):
-    """Anything that evaluates design points under the uniform contract.
+    """Anything that evaluates a candidate grid under the uniform contract.
 
     Implementations carry a ``name`` (the registry key) and a one-line
     ``summary`` used by CLI/API listings.
@@ -46,13 +50,8 @@ class Solver(Protocol):
     name: str
     summary: str
 
-    def solve(
-        self,
-        points: Sequence[DesignPoint],
-        jobs: int | None = None,
-        **options,
-    ) -> list[PointOutcome]:
-        """Evaluate every point; outcomes align with ``points``."""
+    def solve(self, columns: ExpandedColumns, **options) -> ResultTable:
+        """Evaluate every row; the table aligns with ``columns``."""
         ...
 
 

@@ -4,12 +4,11 @@
 power minimisation to one dimension — ``Vth(Vdd)`` from the exact Eq. 5
 (no linearisation), then a bounded scalar minimisation of Eq. 1 over
 ``Vdd`` — and solves it with one scipy ``minimize_scalar`` call per
-point.  That per-point call is exactly what dominates a large
-``method="auto"`` sweep once the vectorized closed form has handled the
-interior: every flagged point (near the feasibility boundary, near the
-Vth floor, outside the Eq. 7 fit range) pays a millisecond of scipy
-machinery for microseconds of arithmetic, and the engine fans the calls
-over a multiprocessing pool just to claw some of that back.
+point.  Run over every flagged point of a large ``auto`` sweep (near
+the feasibility boundary, near the Vth floor, outside the Eq. 7 fit
+range) or every point of a ``numerical`` one, that call would dominate:
+each point pays a fraction of a millisecond of scipy machinery for
+microseconds of arithmetic.
 
 This module solves the *same* 1-D problem for the whole flagged set at
 once.  :func:`_fminbound_batch` is a faithful lockstep port of scipy's

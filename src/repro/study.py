@@ -4,10 +4,11 @@ The paper's methodology is a single question asked many ways: *which
 (architecture, technology, Vdd, Vth) minimises total power at frequency
 f?*  ``Study`` is the one public door to all of them.  A fluent builder
 compiles to an explore :class:`~repro.explore.scenario.Scenario` under
-the hood, dispatches through the :mod:`repro.solvers` registry (the
-``"auto"`` default rides the vectorized kernel with exact-numerical
-fallback), and every run returns one typed :class:`ResultSet` of uniform
-records, whichever solver produced them.
+the hood, runs it through :func:`repro.explore.engine.explore` with the
+named :mod:`repro.solvers` registry entry (the ``"auto"`` default rides
+the vectorized kernel with exact-numerical fallback), and every run
+returns one typed :class:`ResultSet` of uniform records, whichever
+solver produced them.
 
 Quick start::
 
@@ -36,7 +37,6 @@ import csv
 import io
 import json
 import threading
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -50,13 +50,13 @@ from .explore.analysis import (
     rank_points,
     report,
 )
-from .explore.cache import CACHE_SCHEMA_VERSION, ResultCache, content_hash
+from .explore.cache import ResultCache
 from .explore.columnar import ResultRows, ResultTable
-from .service.memcache import TieredCache, as_cache
-from .explore.engine import EvaluationStats, PointResult, cache_key_payload
+from .service.memcache import TieredCache
+from .explore.engine import EvaluationStats, PointResult
 from .explore.engine import explore as explore_scenario
 from .explore.scenario import FrequencyGrid, Scenario, TransformStep
-from .solvers import EngineSolver, Solver, get_solver
+from .solvers import Solver, get_solver
 
 __all__ = ["Record", "ResultSet", "Study"]
 
@@ -70,9 +70,9 @@ Record = PointResult
 class ResultSet:
     """Evaluated candidates plus provenance, with analysis built in.
 
-    The record list is aligned with ``scenario.expand()`` order.  For
-    engine-backed runs it is a lazy :class:`~repro.explore.columnar.
-    ResultRows` view over the columnar ``ResultTable`` — list-compatible
+    The record list is aligned with ``scenario.expand()`` order.  For a
+    run it is a lazy :class:`~repro.explore.columnar.ResultRows` view
+    over the columnar ``ResultTable`` — list-compatible
     (indexing, iteration, equality) but materialising a ``Record`` only
     where one is actually read, while serialisation and the analysis
     fast paths use the backing column arrays directly.  All derived
@@ -280,7 +280,6 @@ class Study:
         self._transform_chains: list[tuple[TransformStep, ...]] = []
         self._solver: str | Solver = "auto"
         self._solver_options: dict[str, Any] = {}
-        self._jobs: int | None = None
         self._use_cache = False
         self._cache: TieredCache | ResultCache | str | Path | None = None
         self._scenario: Scenario | None = None
@@ -295,8 +294,7 @@ class Study:
         such a study instead of silently discarding or ignoring parts of
         it — edit the :class:`Scenario` (``dataclasses.replace``) and
         re-wrap to change the problem.  Execution policy
-        (:meth:`solver`, :meth:`jobs`, :meth:`cached`) stays
-        configurable.
+        (:meth:`solver`, :meth:`cached`) stays configurable.
         """
         study = cls(scenario.name)
         study._scenario = scenario
@@ -381,13 +379,6 @@ class Study:
         self._solver_options = dict(options)
         return self
 
-    def jobs(self, jobs: int | None) -> "Study":
-        """Worker processes for exact-numerical points (None = all CPUs)."""
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self._jobs = jobs
-        return self
-
     def cached(
         self,
         cache: TieredCache | ResultCache | str | Path | None = None,
@@ -434,17 +425,6 @@ class Study:
         solver = self._solver
         return solver if isinstance(solver, str) else solver.name
 
-    def _cache_key(self, scenario: Scenario) -> str:
-        # The engine's shared payload plus this study's solve path, so
-        # every invalidation input lives in one place (engine.py).
-        return content_hash(
-            {
-                **cache_key_payload(scenario),
-                "solver": self.solver_name,
-                "options": self._solver_options,
-            }
-        )
-
     def submit(
         self, shards: int | None = None, manager: Any = None
     ) -> "Any":
@@ -477,31 +457,22 @@ class Study:
     def run(self) -> ResultSet:
         """Compile, solve, and package — the one call that does it all.
 
-        Engine-backed solvers (``auto``, ``vectorized``, ``numerical``)
-        delegate straight to :func:`repro.explore.engine.explore`, so a
-        Study shares the engine's cache entries — a sweep cached through
-        the historical ``explore()`` door is a cache hit here too.
-        Scalar and custom solvers run through the registry contract with
-        an equivalent Study-level cache.
+        Every solver runs through :func:`repro.explore.engine.explore`,
+        so a Study shares the engine's cache entries: a sweep cached
+        through the ``explore()`` door, a job or the service is a cache
+        hit here too.
         """
         scenario = self.scenario()
         solver = get_solver(self._solver)
         obs.inc("solver.calls", solver=solver.name)
         with obs.span("study.run", study=self._name, solver=solver.name):
-            if isinstance(solver, EngineSolver) and not self._solver_options:
-                return self._run_through_engine(scenario, solver)
-            return self._run_through_registry(scenario, solver)
-
-    def _run_through_engine(
-        self, scenario: Scenario, solver: EngineSolver
-    ) -> ResultSet:
-        exploration = explore_scenario(
-            scenario,
-            method=solver.engine_method,
-            jobs=self._jobs,
-            cache=self._cache,
-            use_cache=self._use_cache,
-        )
+            exploration = explore_scenario(
+                scenario,
+                method=solver,
+                options=self._solver_options,
+                cache=self._cache,
+                use_cache=self._use_cache,
+            )
         return ResultSet(
             records=exploration.points,
             solver=solver.name,
@@ -510,71 +481,4 @@ class Study:
             cache_hit=exploration.cache_hit,
             cache_key=exploration.cache_key,
             cache_path=exploration.cache_path,
-        )
-
-    def _run_through_registry(
-        self, scenario: Scenario, solver: Solver
-    ) -> ResultSet:
-        cache: TieredCache | None = None
-        key = ""
-        timer = obs.PhaseTimer("solver")
-        if self._use_cache:
-            cache = as_cache(self._cache)
-            key = self._cache_key(scenario)
-            with timer.phase("cache_read"):
-                stored = cache.get(key)
-            if stored is not None:
-                # Old entries store a row-wise "records" list, new ones
-                # the compact columnar payload; both load identically.
-                with timer.phase("decode"):
-                    table = ResultTable.from_cache_payload(stored)
-                    stats = EvaluationStats.from_dict(stored["stats"])
-                # A hit reports its own cost; the cold run's phase
-                # breakdown stays in the stored entry.
-                return ResultSet(
-                    records=table.rows(),
-                    solver=solver.name,
-                    scenario=scenario,
-                    stats=replace(stats, phases=dict(timer.phases)),
-                    cache_hit=True,
-                    cache_key=key,
-                    cache_path=cache.path_for(key),
-                )
-
-        started = time.perf_counter()
-        with timer.phase("expand"):
-            points = scenario.expand()
-        with timer.phase("solve", solver=solver.name):
-            outcomes = solver.solve(
-                points, jobs=self._jobs, **self._solver_options
-            )
-        elapsed = time.perf_counter() - started
-
-        with timer.phase("analysis"):
-            table = ResultTable.from_outcomes(outcomes)
-            stats = EvaluationStats.from_outcomes(
-                outcomes, elapsed, phases=timer.phases
-            )
-        cache_path = None
-        if cache is not None:
-            with timer.phase("cache_write"):
-                cache_path = cache.put(
-                    key,
-                    {
-                        "schema": CACHE_SCHEMA_VERSION,
-                        "solver": solver.name,
-                        "scenario": scenario.to_dict(),
-                        "stats": stats.to_dict(),
-                        "columns": table.to_payload_columns(),
-                    },
-                )
-            stats = replace(stats, phases=dict(timer.phases))
-        return ResultSet(
-            records=table.rows(),
-            solver=solver.name,
-            scenario=scenario,
-            stats=stats,
-            cache_hit=False,
-            cache_key=key,
-            cache_path=cache_path,
         )

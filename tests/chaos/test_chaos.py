@@ -209,9 +209,11 @@ class TestShardChaos:
 
         from repro.explore.engine import explore as real_explore
 
-        def slow_shard(scenario, method):
+        def slow_shard(scenario, solver, options):
             time_module.sleep(0.4)
-            return real_explore(scenario, method=method, use_cache=False)
+            return real_explore(
+                scenario, method=solver, options=options, use_cache=False
+            )
 
         manager = JobManager(
             store=JobStore(tmp_path / "jobs"),

@@ -3,15 +3,24 @@
 import numpy as np
 import pytest
 
+from repro.core.numerical import numerical_optimum
 from repro.core.technology import flavour
-from repro.explore.engine import evaluate_points
-from repro.explore.executor import solve_point
+from repro.explore.engine import SCALAR_FALLBACK_ROWS, evaluate_table
 from repro.explore.scenario import DesignPoint, FrequencyGrid, Scenario
 from repro.solvers.batch_numerical import solve_points, task_for_points
 
 
 def _reference(point):
-    return solve_point((point.architecture, point.technology, point.frequency))
+    """Scalar scipy optimum of one point as (result, reason)."""
+    try:
+        return (
+            numerical_optimum(
+                point.architecture, point.technology, point.frequency
+            ),
+            "",
+        )
+    except ValueError as error:
+        return None, str(error)
 
 
 @pytest.fixture
@@ -155,38 +164,37 @@ class TestEngineFallbackIntegration:
             technologies=(tech_ll,),
             frequencies=FrequencyGrid.logspace(4e6, 4e9, 30),
         )
-        outcomes = evaluate_points(scenario.expand(), method="auto")
+        table = evaluate_table(scenario, method="auto")
+        points = scenario.expand()
         compared = 0
-        for outcome in outcomes:
-            if outcome.method != "numerical-fallback":
+        for index, row in enumerate(table.rows()):
+            if row.method != "numerical-fallback":
                 continue
             compared += 1
-            reference, reason = _reference(outcome.point)
+            reference, reason = _reference(points[index])
             if reference is None:
-                assert outcome.result is None
-                assert outcome.reason == reason
+                assert not row.feasible
+                assert row.reason == reason
             else:
-                assert outcome.result is not None
-                assert outcome.result.point.ptot == reference.point.ptot
-                assert outcome.result.point.vdd == reference.point.vdd
-                assert outcome.result.point.method == "numerical-1d"
+                assert row.feasible
+                assert row.ptot == reference.point.ptot
+                assert row.vdd == reference.point.vdd
         assert compared >= 3
 
     def test_auto_never_touches_the_pool(self, wallace_arch, tech_ll, monkeypatch):
-        """The multiprocessing executor is reserved for method="numerical"."""
+        """A large flagged set is one batch solve, no per-point scipy call."""
         from repro.explore import engine as engine_module
 
         def _banned(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("auto must not dispatch to the pool")
+            raise AssertionError("a large flagged set must not go point by point")
 
-        monkeypatch.setattr(
-            engine_module.executor_module, "run_numerical", _banned
-        )
+        monkeypatch.setattr(engine_module, "numerical_optimum", _banned)
         scenario = Scenario(
             name="no-pool",
             architectures=(wallace_arch,),
             technologies=(tech_ll,),
-            frequencies=FrequencyGrid.logspace(4e6, 4e9, 12),
+            frequencies=FrequencyGrid.logspace(4e6, 4e9, 30),
         )
-        outcomes = evaluate_points(scenario.expand(), method="auto")
-        assert any(o.method == "numerical-fallback" for o in outcomes)
+        table = evaluate_table(scenario, method="auto")
+        flagged = table.column("method") == "numerical-fallback"
+        assert flagged.sum() >= SCALAR_FALLBACK_ROWS

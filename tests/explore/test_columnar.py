@@ -8,8 +8,7 @@ from repro.explore.cache import ResultCache
 from repro.explore.columnar import ResultTable, expand_columns
 from repro.explore.engine import (
     EvaluationStats,
-    PointResult,
-    evaluate_points,
+    cache_key,
     evaluate_table,
     explore,
 )
@@ -65,8 +64,18 @@ class TestExpandColumns:
 
 class TestResultTable:
     def test_rows_match_object_pipeline(self, mixed_scenario, mixed_table):
-        outcomes = evaluate_points(mixed_scenario.expand(), method="auto")
-        expected = [PointResult.from_outcome(o) for o in outcomes]
+        """Every row equals its candidate evaluated on its own, point by point."""
+        expected = [
+            evaluate_table(
+                Scenario(
+                    name="one",
+                    architectures=(point.architecture,),
+                    technologies=(point.technology,),
+                    frequencies=FrequencyGrid.single(point.frequency),
+                )
+            ).row(0)
+            for point in mixed_scenario.expand()
+        ]
         assert mixed_table.rows() == expected
 
     def test_to_dicts_matches_per_record_dicts(self, mixed_table):
@@ -244,7 +253,7 @@ class TestColumnarEdgeCases:
             technologies=(tech_ll,),
             frequencies=FrequencyGrid.logspace(5e9, 50e9, 4),
         )
-        table = evaluate_table(scenario, method="closed-form")
+        table = evaluate_table(scenario, method="vectorized")
         for row in table.rows():
             assert not row.feasible
             assert row.method == "vectorized-closed-form"
@@ -256,7 +265,6 @@ class TestLegacyCacheEntries:
         self, mixed_scenario, tmp_path
     ):
         """An entry written by the pre-columnar engine still loads."""
-        from repro.explore.engine import _cache_key
         from repro.service.memcache import default_memory_cache
 
         fresh = explore(mixed_scenario, cache=tmp_path, use_cache=False)
@@ -268,7 +276,7 @@ class TestLegacyCacheEntries:
             "parity_checked": True,
             "points": [row.to_dict() for row in fresh.points],
         }
-        key = _cache_key(mixed_scenario, "auto")
+        key = cache_key(mixed_scenario, "auto")
         ResultCache(tmp_path).put(key, legacy_payload)
         default_memory_cache().clear()
 

@@ -1,4 +1,4 @@
-"""Engine orchestration: methods, fallback, caching, delegation."""
+"""Engine orchestration: solvers, fallback, caching, delegation."""
 
 import pytest
 
@@ -9,15 +9,19 @@ from repro.explore.cache import ResultCache
 from repro.explore.engine import (
     EvaluationStats,
     PointResult,
-    evaluate_points,
+    evaluate_table,
     explore,
 )
-from repro.explore.scenario import (
-    DesignPoint,
-    FrequencyGrid,
-    Scenario,
-    demo_scenario,
-)
+from repro.explore.scenario import FrequencyGrid, Scenario, demo_scenario
+
+
+def _single(arch, tech, frequency):
+    return Scenario(
+        name="single",
+        architectures=(arch,),
+        technologies=(tech,),
+        frequencies=FrequencyGrid.single(frequency),
+    )
 
 
 @pytest.fixture
@@ -31,91 +35,81 @@ def small_scenario(wallace_arch, tech_ll):
 
 
 class TestEvaluatePoints:
+    """Design points evaluated through the columnar ``evaluate_table``."""
+
     def test_outcomes_align_with_points(self, small_scenario):
         points = small_scenario.expand()
-        outcomes = evaluate_points(points, jobs=1)
-        assert len(outcomes) == len(points)
-        for point, outcome in zip(points, outcomes):
-            assert outcome.point is point
+        table = evaluate_table(small_scenario)
+        assert len(table) == len(points)
+        for point, row in zip(points, table.rows()):
+            assert row.architecture == point.architecture.name
+            assert row.technology == point.technology.name
+            assert row.frequency == point.frequency
 
     def test_auto_matches_closed_form_on_interior(self, wallace_arch, tech_ll):
-        point = DesignPoint(wallace_arch, tech_ll, 31.25e6)
-        (outcome,) = evaluate_points([point], jobs=1)
-        assert outcome.method == "vectorized-closed-form"
+        (row,) = evaluate_table(_single(wallace_arch, tech_ll, 31.25e6)).rows()
+        assert row.method == "vectorized-closed-form"
         scalar = closed_form_optimum(wallace_arch, tech_ll, 31.25e6)
-        assert outcome.result.ptot == pytest.approx(scalar.ptot, rel=1e-9)
+        assert row.ptot == pytest.approx(scalar.ptot, rel=1e-9)
 
     def test_fallback_points_use_reference_solver(self, wallace_arch, tech_ll):
         # 2 GHz is infeasible for this circuit: auto must report the
         # numerical solver's verdict, not the closed form's.
-        infeasible = DesignPoint(wallace_arch, tech_ll, 2e9)
-        (outcome,) = evaluate_points([infeasible], jobs=1)
-        assert not outcome.feasible
-        assert outcome.method == "numerical-fallback"
-        assert outcome.reason != ""
+        (row,) = evaluate_table(_single(wallace_arch, tech_ll, 2e9)).rows()
+        assert not row.feasible
+        assert row.method == "numerical-fallback"
+        assert row.reason != ""
 
     def test_numerical_method_matches_direct_calls(self, small_scenario):
         points = small_scenario.expand()
-        outcomes = evaluate_points(points, method="numerical", jobs=1)
-        for point, outcome in zip(points, outcomes):
+        table = evaluate_table(small_scenario, method="numerical")
+        for point, row in zip(points, table.rows()):
+            assert row.method == "numerical"
             try:
                 expected = numerical_optimum(
                     point.architecture, point.technology, point.frequency
                 )
             except ValueError as error:
-                assert not outcome.feasible
-                assert outcome.reason == str(error)
+                assert not row.feasible
+                assert row.reason == str(error)
             else:
-                assert outcome.result.ptot == pytest.approx(
-                    expected.ptot, rel=1e-12
-                )
+                assert row.ptot == expected.ptot
 
     def test_closed_form_method_never_calls_scipy(
         self, small_scenario, monkeypatch
     ):
         def _banned(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("closed-form method must not call scipy")
+            raise AssertionError("vectorized method must not call scipy")
 
-        monkeypatch.setattr(
-            engine_module.executor_module, "run_numerical", _banned
-        )
-        outcomes = evaluate_points(
-            small_scenario.expand(), method="closed-form"
-        )
-        assert any(o.feasible for o in outcomes)
-        assert any(not o.feasible for o in outcomes)
-        for outcome in outcomes:
-            assert outcome.method == "vectorized-closed-form"
+        monkeypatch.setattr(engine_module, "_solve_flagged", _banned)
+        table = evaluate_table(small_scenario, method="vectorized")
+        assert table.feasible.any()
+        assert not table.feasible.all()
+        assert set(table.column("method")) == {"vectorized-closed-form"}
 
     def test_auto_agrees_with_numerical_within_paper_error(
         self, small_scenario
     ):
         """Eq. 13's headline <3 % claim holds across the auto sweep."""
-        auto = evaluate_points(small_scenario.expand(), jobs=1)
-        exact = evaluate_points(
-            small_scenario.expand(), method="numerical", jobs=1
-        )
-        compared = 0
-        for fast, reference in zip(auto, exact):
-            if fast.feasible and reference.feasible:
-                error = abs(fast.result.ptot - reference.result.ptot)
-                assert error / reference.result.ptot < 0.03
-                compared += 1
-        assert compared >= 5
+        auto = evaluate_table(small_scenario)
+        exact = evaluate_table(small_scenario, method="numerical")
+        both = auto.feasible & exact.feasible
+        fast, reference = auto.column("ptot")[both], exact.column("ptot")[both]
+        assert (abs(fast - reference) / reference < 0.03).all()
+        assert both.sum() >= 5
 
-    def test_unknown_method_rejected(self, wallace_arch, tech_ll):
-        point = DesignPoint(wallace_arch, tech_ll, 31.25e6)
-        with pytest.raises(ValueError, match="unknown method"):
-            evaluate_points([point], method="magic")
+    def test_unknown_method_rejected(self, small_scenario):
+        with pytest.raises(ValueError, match="magic"):
+            evaluate_table(small_scenario, method="magic")
 
 
 class TestExploreCache:
     def test_miss_then_hit(self, small_scenario, tmp_path):
-        first = explore(small_scenario, cache=tmp_path, jobs=1)
+        first = explore(small_scenario, cache=tmp_path)
         assert not first.cache_hit
         assert first.cache_path is not None and first.cache_path.is_file()
 
-        second = explore(small_scenario, cache=tmp_path, jobs=1)
+        second = explore(small_scenario, cache=tmp_path)
         assert second.cache_hit
         assert second.points == first.points
         # Phase timings are per-run wall clocks: the hit reports what it
@@ -130,19 +124,19 @@ class TestExploreCache:
     def test_hit_does_no_reevaluation(
         self, small_scenario, tmp_path, monkeypatch
     ):
-        explore(small_scenario, cache=tmp_path, jobs=1)
+        explore(small_scenario, cache=tmp_path)
 
         def _banned(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("cache hit must not re-evaluate")
 
-        monkeypatch.setattr(engine_module, "evaluate_points", _banned)
-        result = explore(small_scenario, cache=tmp_path, jobs=1)
+        monkeypatch.setattr(engine_module, "evaluate_table", _banned)
+        result = explore(small_scenario, cache=tmp_path)
         assert result.cache_hit
 
     def test_method_changes_cache_key(self, small_scenario, tmp_path):
-        explore(small_scenario, cache=tmp_path, jobs=1)
+        explore(small_scenario, cache=tmp_path)
         numerical = explore(
-            small_scenario, method="numerical", cache=tmp_path, jobs=1
+            small_scenario, method="numerical", cache=tmp_path
         )
         assert not numerical.cache_hit
         assert len(ResultCache(tmp_path).entries()) == 2
@@ -152,15 +146,15 @@ class TestExploreCache:
     ):
         import dataclasses
 
-        explore(small_scenario, cache=tmp_path, jobs=1)
+        explore(small_scenario, cache=tmp_path)
         edited = dataclasses.replace(
             small_scenario, frequencies=FrequencyGrid.single(31.25e6)
         )
-        assert not explore(edited, cache=tmp_path, jobs=1).cache_hit
+        assert not explore(edited, cache=tmp_path).cache_hit
 
     def test_use_cache_false_bypasses(self, small_scenario, tmp_path):
         result = explore(
-            small_scenario, cache=tmp_path, use_cache=False, jobs=1
+            small_scenario, cache=tmp_path, use_cache=False
         )
         assert result.cache_path is None
         assert ResultCache(tmp_path).entries() == []
@@ -168,39 +162,39 @@ class TestExploreCache:
     def test_corrupt_entry_is_a_miss(self, small_scenario, tmp_path):
         from repro.service.memcache import default_memory_cache
 
-        first = explore(small_scenario, cache=tmp_path, jobs=1)
+        first = explore(small_scenario, cache=tmp_path)
         first.cache_path.write_text("{not json", encoding="utf-8")
         # Drop the in-memory tier too: with it warm, the corrupt disk
         # entry is shadowed rather than re-read (covered below).
         default_memory_cache().clear()
-        again = explore(small_scenario, cache=tmp_path, jobs=1)
+        again = explore(small_scenario, cache=tmp_path)
         assert not again.cache_hit
         assert again.points == first.points
 
     def test_memory_tier_shadows_a_corrupted_disk_entry(
         self, small_scenario, tmp_path
     ):
-        first = explore(small_scenario, cache=tmp_path, jobs=1)
+        first = explore(small_scenario, cache=tmp_path)
         first.cache_path.write_text("{not json", encoding="utf-8")
-        again = explore(small_scenario, cache=tmp_path, jobs=1)
+        again = explore(small_scenario, cache=tmp_path)
         assert again.cache_hit
         assert again.points == first.points
 
     def test_memory_tier_serves_without_disk_reads(
         self, small_scenario, tmp_path, monkeypatch
     ):
-        explore(small_scenario, cache=tmp_path, jobs=1)
+        explore(small_scenario, cache=tmp_path)
 
         def _banned(self, key):  # pragma: no cover - guard
             raise AssertionError("memory hit must not read the disk tier")
 
         monkeypatch.setattr(ResultCache, "get", _banned)
-        assert explore(small_scenario, cache=tmp_path, jobs=1).cache_hit
+        assert explore(small_scenario, cache=tmp_path).cache_hit
 
 
 class TestPointResult:
     def test_round_trip(self, small_scenario, tmp_path):
-        result = explore(small_scenario, cache=tmp_path, jobs=1)
+        result = explore(small_scenario, cache=tmp_path)
         for point in result.points:
             assert PointResult.from_dict(point.to_dict()) == point
 
@@ -224,8 +218,8 @@ class TestDemoScenarioEndToEnd:
         second run is a pure cache hit."""
         scenario = demo_scenario()
         assert scenario.size >= 1000
-        result = explore(scenario, cache=tmp_path, jobs=1)
+        result = explore(scenario, cache=tmp_path)
         assert len(result.points) == scenario.size
         assert result.stats.n_vectorized > 0.8 * scenario.size
         assert result.best is not None
-        assert explore(scenario, cache=tmp_path, jobs=1).cache_hit
+        assert explore(scenario, cache=tmp_path).cache_hit

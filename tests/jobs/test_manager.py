@@ -37,11 +37,11 @@ def gated_manager(tmp_path, release):
     """A manager whose shard evaluator blocks until ``release`` is set."""
     started = threading.Event()
 
-    def evaluate(scenario, method):
+    def evaluate(scenario, solver, options):
         started.set()
         if not release.wait(timeout=WAIT):  # pragma: no cover — test hang
             raise TimeoutError("gate never released")
-        return explore(scenario, method=method, use_cache=False)
+        return explore(scenario, method=solver, options=options, use_cache=False)
 
     instance = JobManager(
         store=JobStore(tmp_path / "jobs"),
@@ -78,10 +78,10 @@ class TestSubmitAndResult:
         inline = explore(scenario, cache=manager.cache, use_cache=True)
         assert inline.cache_hit
 
-    def test_registry_solver_runs_as_one_unit(self, manager):
+    def test_scalar_solver_is_sharded_too(self, manager):
         scenario = demo_scenario(frequency_points=2)
         record = manager.submit(scenario, solver="closed_form", shards=4)
-        assert record.progress["shards_total"] == 1  # options/scalar: no split
+        assert record.progress["shards_total"] == 4
         status = manager.wait(record.id, timeout=WAIT)
         assert status["state"] == "done"
         result = manager.job_result(record.id)
@@ -284,7 +284,7 @@ class TestQueueDepthGauge:
             manager.close()
 
     def test_failed_job_releases_the_gauge(self, tmp_path, fresh_registry):
-        def explode(scenario, method):
+        def explode(scenario, solver, options):
             raise RuntimeError("shard exploded")
 
         manager = JobManager(

@@ -21,8 +21,8 @@ class TestRoundTripParity:
     def test_explore_matches_study_run(self, service):
         _, client = service
         scenario = demo_scenario(frequency_points=3)
-        remote = client.explore(scenario, solver="auto", jobs=1)
-        local = Study.from_scenario(scenario).solver("auto").jobs(1).run()
+        remote = client.explore(scenario, solver="auto")
+        local = Study.from_scenario(scenario).solver("auto").run()
         assert isinstance(remote, ResultSet)
         assert remote.records == local.records  # same values, same ordering
         assert remote.solver == local.solver
@@ -31,13 +31,13 @@ class TestRoundTripParity:
     def test_streamed_explore_matches_study_run(self, service):
         _, client = service
         scenario = demo_scenario(frequency_points=3)
-        remote = client.explore(scenario, solver="auto", jobs=1, stream=True)
-        local = Study.from_scenario(scenario).solver("auto").jobs(1).run()
+        remote = client.explore(scenario, solver="auto", stream=True)
+        local = Study.from_scenario(scenario).solver("auto").run()
         assert remote.records == local.records
 
     def test_resultset_analysis_works_on_remote_records(self, service):
         _, client = service
-        remote = client.explore(demo_scenario(frequency_points=3), jobs=1)
+        remote = client.explore(demo_scenario(frequency_points=3))
         assert remote.best() is not None
         assert len(remote.pareto()) >= 1
         assert "Pareto" in remote.table(top=3)

@@ -34,11 +34,11 @@ def gated_service(tmp_path):
         ServiceConfig(port=0, workers=4, cache_dir=str(tmp_path / "cache"))
     )
 
-    def evaluate(scenario, method):
+    def evaluate(scenario, solver, options):
         started.set()
         if not release.wait(timeout=WAIT):  # pragma: no cover — test hang
             raise TimeoutError("gate never released")
-        return explore(scenario, method=method, use_cache=False)
+        return explore(scenario, method=solver, options=options, use_cache=False)
 
     server.state.jobs._evaluate_shard = evaluate
     server.start_background()

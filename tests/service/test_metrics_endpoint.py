@@ -43,9 +43,9 @@ class TestMetricsEndpoint:
         _, client = service
         scenario = demo_scenario(frequency_points=2)
         before = client.metrics()
-        cold = client.explore(scenario, solver="auto", jobs=1)
+        cold = client.explore(scenario, solver="auto")
         after_cold = client.metrics()
-        warm = client.explore(scenario, solver="auto", jobs=1)
+        warm = client.explore(scenario, solver="auto")
         after_warm = client.metrics()
 
         assert not cold.cache_hit and warm.cache_hit

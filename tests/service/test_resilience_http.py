@@ -95,11 +95,11 @@ class TestAdmissionOverTheWire:
         started = threading.Event()
         evaluate = server.state.evaluate
 
-        def gated(scenario, solver, jobs, options):
+        def gated(scenario, solver, options):
             started.set()
             if not release.wait(timeout=WAIT):  # pragma: no cover
                 raise TimeoutError("gate never released")
-            return evaluate(scenario, solver, jobs, options)
+            return evaluate(scenario, solver, options)
 
         server.state.evaluate = gated
         server.start_background()

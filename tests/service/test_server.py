@@ -79,15 +79,15 @@ class TestExploreRoute:
     def test_small_sweep(self, service):
         _, client = service
         scenario = demo_scenario(frequency_points=2)
-        result = client.explore(scenario, solver="auto", jobs=1)
+        result = client.explore(scenario, solver="auto")
         assert len(result) == scenario.size
         assert result.best() is not None
 
     def test_repeat_is_a_cache_hit(self, service):
         _, client = service
         scenario = demo_scenario(frequency_points=2)
-        first = client.explore(scenario, solver="auto", jobs=1)
-        second = client.explore(scenario, solver="auto", jobs=1)
+        first = client.explore(scenario, solver="auto")
+        second = client.explore(scenario, solver="auto")
         assert not first.cache_hit
         assert second.cache_hit
         assert second.records == first.records
@@ -95,8 +95,8 @@ class TestExploreRoute:
     def test_ndjson_stream_matches_plain_response(self, service):
         _, client = service
         scenario = demo_scenario(frequency_points=2)
-        plain = client.explore(scenario, solver="auto", jobs=1, stream=False)
-        streamed = client.explore(scenario, solver="auto", jobs=1, stream=True)
+        plain = client.explore(scenario, solver="auto", stream=False)
+        streamed = client.explore(scenario, solver="auto", stream=True)
         assert streamed.records == plain.records
         assert streamed.solver == plain.solver
         # Phase timings are per-run (the first request computed, the
@@ -197,15 +197,6 @@ class TestErrorMapping:
         assert "did you mean" in str(excinfo.value)
         assert "numerical" in str(excinfo.value)
 
-    def test_bad_jobs_is_400(self, service):
-        _, client = service
-        scenario = demo_scenario(frequency_points=2)
-        with pytest.raises(ServiceError) as excinfo:
-            client._post(
-                "/v1/explore", {"scenario": scenario.to_dict(), "jobs": 0}
-            )
-        assert excinfo.value.kind == "bad-jobs"
-
     def test_oversized_body_is_413(self, tmp_path):
         server = ExplorationServer(
             ServiceConfig(port=0, max_body=64, cache_dir=str(tmp_path))
@@ -259,14 +250,9 @@ class TestCoalescingOverHTTP:
     def test_concurrent_identical_sweeps_run_once(self, tmp_path):
         release = threading.Event()
 
-        def gated_evaluate(scenario, solver, jobs, options):
+        def gated_evaluate(scenario, solver, options):
             release.wait(10.0)
-            return (
-                Study.from_scenario(scenario)
-                .solver(solver, **options)
-                .jobs(jobs)
-                .run()
-            )
+            return Study.from_scenario(scenario).solver(solver, **options).run()
 
         server = ExplorationServer(
             ServiceConfig(port=0, workers=8, use_cache=False),
@@ -279,7 +265,7 @@ class TestCoalescingOverHTTP:
 
             def post():
                 client = ServiceClient(server.url)
-                results.append(client.explore(scenario, solver="auto", jobs=1))
+                results.append(client.explore(scenario, solver="auto"))
 
             threads = [threading.Thread(target=post) for _ in range(6)]
             for thread in threads:
@@ -304,11 +290,11 @@ class TestCoalescingOverHTTP:
 class TestRequestParsers:
     def test_explore_parser_round_trip(self):
         scenario = demo_scenario(frequency_points=2)
-        parsed, solver, jobs, options = parse_explore_request(
-            {"scenario": scenario.to_dict(), "solver": "vectorized", "jobs": 2}
+        parsed, solver, options = parse_explore_request(
+            {"scenario": scenario.to_dict(), "solver": "vectorized"}
         )
         assert parsed == scenario
-        assert (solver, jobs, options) == ("vectorized", 2, {})
+        assert (solver, options) == ("vectorized", {})
 
     def test_optimize_parser_builds_single_point_scenario(self):
         scenario, solver, options = parse_optimize_request(

@@ -32,7 +32,6 @@ def reference() -> ResultSet:
         .technologies("ULL", "LL", "HS")
         .frequencies(2e6, 31.25e6, 2e9)
         .solver("auto")
-        .jobs(1)
         .run()
     )
 

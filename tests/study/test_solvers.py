@@ -1,4 +1,4 @@
-"""Unit tests for the repro.solvers registry and the uniform contract."""
+"""Unit tests for the repro.solvers registry and the columnar contract."""
 
 import pytest
 
@@ -6,7 +6,8 @@ from repro import ST_CMOS09_LL
 from repro.core.bounded import bounded_optimum
 from repro.core.closed_form import closed_form_optimum
 from repro.core.numerical import numerical_optimum, numerical_optimum_linearized
-from repro.explore.scenario import DesignPoint
+from repro.explore.columnar import expand_columns
+from repro.explore.scenario import DesignPoint, FrequencyGrid, Scenario
 from repro.solvers import (
     ScalarSolver,
     SolverError,
@@ -16,6 +17,20 @@ from repro.solvers import (
     solver_summaries,
     unregister_solver,
 )
+
+
+def _columns(*points):
+    """The expanded grid of one technology and frequency, one row per point."""
+    (technology,) = {p.technology for p in points}
+    (frequency,) = {p.frequency for p in points}
+    return expand_columns(
+        Scenario(
+            name="contract",
+            architectures=tuple(p.architecture for p in points),
+            technologies=(technology,),
+            frequencies=FrequencyGrid.single(frequency),
+        )
+    )
 
 
 @pytest.fixture
@@ -100,9 +115,9 @@ class TestRegistry:
         )
         try:
             register_solver(custom)
-            outcome = get_solver("custom_test_solver").solve([point])[0]
-            assert outcome.feasible
-            assert outcome.method == "custom_test_solver"
+            row = get_solver("custom_test_solver").solve(_columns(point)).row(0)
+            assert row.feasible
+            assert row.method == "custom_test_solver"
         finally:
             unregister_solver("custom_test_solver")
         with pytest.raises(SolverError):
@@ -115,11 +130,13 @@ class TestUniformContract:
                  "vectorized"]
     )
     def test_outcomes_align_with_points(self, name, point):
-        outcomes = get_solver(name).solve([point, point], jobs=1)
-        assert len(outcomes) == 2
-        assert all(o.point == point for o in outcomes)
-        assert all(o.feasible for o in outcomes)
-        assert outcomes[0].result.ptot == outcomes[1].result.ptot
+        columns = _columns(point, point)
+        table = get_solver(name).solve(columns)
+        assert len(table) == 2
+        assert list(table.column("architecture")) == [point.architecture.name] * 2
+        assert list(table.column("frequency")) == [point.frequency] * 2
+        assert table.feasible.all()
+        assert table.column("ptot")[0] == table.column("ptot")[1]
 
     @pytest.mark.parametrize(
         "name", ["auto", "closed_form", "numerical", "vectorized"]
@@ -127,17 +144,19 @@ class TestUniformContract:
     def test_infeasibility_is_data_not_an_exception(
         self, name, point, infeasible_point
     ):
-        """The timing-constrained paths report χA >= 1 as a reasoned record.
+        """The timing-constrained paths report χA >= 1 as a reasoned row.
 
         (``bounded`` legitimately answers with a capped boundary point and
         ``linearized`` is only defined inside the feasible region — their
         historical semantics, unchanged by the registry.)
         """
-        outcomes = get_solver(name).solve([point, infeasible_point], jobs=1)
-        assert outcomes[0].feasible
-        assert not outcomes[1].feasible
-        assert outcomes[1].result is None
-        assert outcomes[1].reason != ""
+        feasible, infeasible = get_solver(name).solve(
+            _columns(point, infeasible_point)
+        ).rows()
+        assert feasible.feasible
+        assert not infeasible.feasible
+        assert infeasible.ptot is None
+        assert infeasible.reason != ""
 
     @pytest.mark.parametrize(
         "name,reference",
@@ -149,30 +168,30 @@ class TestUniformContract:
         ],
     )
     def test_scalar_paths_match_their_reference(self, name, reference, point):
-        outcome = get_solver(name).solve([point], jobs=1)[0]
+        row = get_solver(name).solve(_columns(point)).row(0)
         expected = reference(
             point.architecture, point.technology, point.frequency
         )
-        assert outcome.result.ptot == pytest.approx(expected.ptot, rel=1e-12)
-        assert outcome.result.point.vdd == pytest.approx(
-            expected.point.vdd, rel=1e-12
-        )
+        assert row.ptot == expected.ptot
+        assert row.vdd == expected.point.vdd
 
     def test_bounded_solver_forwards_options(self, point):
-        capped = get_solver("bounded").solve([point], vth_max=0.10)[0]
-        free = get_solver("bounded").solve([point])[0]
-        assert capped.result.point.vth <= 0.10 + 1e-12
-        assert capped.result.ptot > free.result.ptot
+        columns = _columns(point)
+        capped = get_solver("bounded").solve(columns, vth_max=0.10).row(0)
+        free = get_solver("bounded").solve(columns).row(0)
+        assert capped.vth <= 0.10 + 1e-12
+        assert capped.ptot > free.ptot
 
     def test_unknown_option_is_rejected(self, point):
+        columns = _columns(point)
         with pytest.raises(SolverError, match="unknown option"):
-            get_solver("bounded").solve([point], vth_maximum=0.4)
+            get_solver("bounded").solve(columns, vth_maximum=0.4)
         with pytest.raises(SolverError, match="unknown option"):
-            get_solver("auto").solve([point], method="numerical")
+            get_solver("auto").solve(columns, method="numerical")
 
     def test_vectorized_agrees_with_scalar_closed_form(self, point):
-        vectorized = get_solver("vectorized").solve([point])[0]
+        vectorized = get_solver("vectorized").solve(_columns(point)).row(0)
         scalar = closed_form_optimum(
             point.architecture, point.technology, point.frequency
         )
-        assert vectorized.result.ptot == pytest.approx(scalar.ptot, rel=1e-9)
+        assert vectorized.ptot == pytest.approx(scalar.ptot, rel=1e-9)

@@ -97,16 +97,12 @@ class TestBuilder:
         with pytest.raises(ValueError, match="wraps an existing Scenario"):
             study.described_as("ignored")
         # Execution policy stays configurable on a wrapped scenario.
-        resultset = study.solver("vectorized").jobs(1).run()
+        resultset = study.solver("vectorized").run()
         assert len(resultset) == 48
 
     def test_unknown_solver_fails_at_build_time(self, small_study):
         with pytest.raises(ValueError, match="unknown solver"):
             small_study.solver("frobnicate")
-
-    def test_bad_jobs_rejected(self, small_study):
-        with pytest.raises(ValueError, match="jobs"):
-            small_study.jobs(0)
 
 
 class TestNumericalParity:
@@ -120,7 +116,6 @@ class TestNumericalParity:
             .technologies("ULL", "LL", "HS")
             .frequencies(paper_frequency)
             .solver("numerical")
-            .jobs(1)
             .run()
         )
         for record, tech_label in zip(resultset, ("ULL", "LL", "HS")):
@@ -140,9 +135,9 @@ class TestAutoParityWithExplore:
     def test_reproduces_demo_sweep_and_pareto_front(self):
         """ISSUE 2 acceptance: same candidates, same Pareto front as PR 1."""
         scenario = demo_scenario(frequency_points=5)
-        engine = explore(scenario, method="auto", jobs=1, use_cache=False)
+        engine = explore(scenario, method="auto", use_cache=False)
         facade = (
-            Study.from_scenario(scenario).solver("auto").jobs(1).run()
+            Study.from_scenario(scenario).solver("auto").run()
         )
         assert facade.records == engine.points
         engine_front = pareto_frontier(engine.points)
@@ -167,7 +162,6 @@ class TestResultSet:
             .technologies("LL")
             .frequencies(paper_frequency)
             .solver("auto")
-            .jobs(1)
             .run()
         )
         assert resultset.n_feasible == 1
@@ -240,7 +234,7 @@ class TestTopLevelNamespace:
         assert repro.explore is explore_module
         assert repro.explore.Scenario is Scenario  # module semantics intact
         result = exported(
-            demo_scenario(frequency_points=2), jobs=1, use_cache=False
+            demo_scenario(frequency_points=2), use_cache=False
         )
         assert result.stats.n_candidates == 48
 
@@ -249,12 +243,11 @@ class TestCaching:
     def test_shares_engine_cache_with_explore(self, tmp_path):
         """A sweep cached through PR 1's explore() is a Study cache hit."""
         scenario = demo_scenario(frequency_points=2)
-        engine = explore(scenario, method="auto", jobs=1, cache=tmp_path)
+        engine = explore(scenario, method="auto", cache=tmp_path)
         assert not engine.cache_hit
         facade = (
             Study.from_scenario(scenario)
             .solver("auto")
-            .jobs(1)
             .cached(tmp_path)
             .run()
         )

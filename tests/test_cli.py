@@ -73,7 +73,7 @@ class TestExplore:
     def test_demo_sweep(self, tmp_path, capsys):
         code = main([
             "explore", "--frequency-points", "3", "--top", "5",
-            "--jobs", "1", "--cache-dir", str(tmp_path),
+            "--cache-dir", str(tmp_path),
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -83,7 +83,7 @@ class TestExplore:
 
     def test_cache_hit_on_rerun(self, tmp_path, capsys):
         args = [
-            "explore", "--frequency-points", "3", "--jobs", "1",
+            "explore", "--frequency-points", "3",
             "--cache-dir", str(tmp_path),
         ]
         assert main(args) == 0
@@ -100,7 +100,7 @@ class TestExplore:
         ]) == 0
         capsys.readouterr()
         code = main([
-            "explore", str(scenario_path), "--no-cache", "--jobs", "1",
+            "explore", str(scenario_path), "--no-cache",
             "--top", "3",
         ])
         out = capsys.readouterr().out
@@ -118,7 +118,7 @@ class TestExplore:
 
         target = tmp_path / "sweep.npz"
         code = main([
-            "explore", "--frequency-points", "3", "--jobs", "1",
+            "explore", "--frequency-points", "3",
             "--no-cache", "--export", str(target),
         ])
         out = capsys.readouterr().out
@@ -137,7 +137,7 @@ class TestExplore:
 class TestProfile:
     def test_explore_profile_prints_spans_and_phases(self, tmp_path, capsys):
         code = main([
-            "explore", "--frequency-points", "3", "--jobs", "1",
+            "explore", "--frequency-points", "3",
             "--cache-dir", str(tmp_path), "--top", "1", "--profile",
         ])
         out = capsys.readouterr().out
@@ -153,7 +153,7 @@ class TestProfile:
 
         profile_path = tmp_path / "profile.json"
         assert main([
-            "explore", "--frequency-points", "3", "--jobs", "1",
+            "explore", "--frequency-points", "3",
             "--cache-dir", str(tmp_path / "cache"), "--top", "1",
             "--profile-json", str(profile_path),
         ]) == 0
@@ -168,7 +168,7 @@ class TestProfile:
 
         profile_path = tmp_path / "profile.json"
         assert main([
-            "explore", "--frequency-points", "3", "--jobs", "1",
+            "explore", "--frequency-points", "3",
             "--no-cache", "--top", "1",
             "--profile-json", str(profile_path),
         ]) == 0
@@ -226,17 +226,6 @@ class TestErrorPaths:
         assert code == 2
         assert "invalid scenario" in captured.err
 
-    def test_jobs_zero(self, capsys):
-        code = main(["explore", "--jobs", "0", "--frequency-points", "3"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "--jobs must be >= 1" in captured.err
-
-    def test_jobs_negative(self, capsys):
-        code = main(["explore", "--jobs", "-4", "--frequency-points", "3"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "--jobs must be >= 1" in captured.err
 
 
 class TestOptimizeSolverChoice:
@@ -339,7 +328,7 @@ class TestCacheCommand:
 
     def test_stats_after_a_sweep(self, tmp_path, capsys):
         assert main([
-            "explore", "--frequency-points", "2", "--jobs", "1",
+            "explore", "--frequency-points", "2",
             "--cache-dir", str(tmp_path), "--top", "1",
         ]) == 0
         capsys.readouterr()

@@ -1,9 +1,10 @@
-"""Solver names that were removed fail cleanly on every door.
+"""Removed names fail cleanly on every door.
 
-A removed name is an unknown solver: the fluent builder rejects it when
-the study is built, the HTTP service answers 400 ``unknown-solver``,
-and a job persisted under it before the upgrade fails on recovery
-without stalling the dispatcher.
+A removed solver name is an unknown solver: the fluent builder rejects
+it when the study is built, the HTTP service answers 400
+``unknown-solver``, and a job persisted under it before the upgrade
+fails on recovery without stalling the dispatcher.  The removed object
+pipeline and process pool are gone from the import surface.
 """
 
 import pytest
@@ -76,3 +77,18 @@ def test_recovered_job_with_removed_solver_fails_and_queue_moves_on(
         assert manager.wait(after.id, timeout=WAIT)["state"] == "done"
     finally:
         manager.close()
+
+
+def test_the_object_pipeline_and_process_pool_are_gone():
+    """The columnar ``explore`` path is the only one left."""
+    import importlib
+
+    import repro.explore
+    import repro.explore.engine
+
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.explore.executor")
+    for module in (repro.explore, repro.explore.engine):
+        assert not hasattr(module, "evaluate_points")
+        assert not hasattr(module, "PointOutcome")
+    assert not hasattr(Study, "jobs")
