@@ -19,10 +19,10 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from bench_columnar import mixed_scenario
 from conftest import smoke_mode
 
 from repro.explore.engine import evaluate_table
+from repro.explore.scenario import FrequencyGrid, Scenario, demo_scenario
 from repro.resilience import Deadline, active_deadline
 from repro.resilience.faults import check as fault_check
 
@@ -32,6 +32,21 @@ OVERHEAD_CEILING_PCT = 2.0
 #: A deadline generous enough to never fire during the sweep: the
 #: overhead measured is pure checkpoint cost, not early termination.
 GENEROUS_SECONDS = 3600.0
+
+
+def mixed_scenario() -> Scenario:
+    """The demo space over a grid deep enough to mix trusted-vectorized,
+    flagged-fallback and infeasible points."""
+    base = demo_scenario()
+    return Scenario(
+        name="bench-resilience",
+        architectures=base.architectures,
+        technologies=base.technologies,
+        frequencies=FrequencyGrid.logspace(
+            2e6, 1.5e9, 500 if smoke_mode() else 4200
+        ),
+        transform_chains=base.transform_chains,
+    )
 
 
 def _best_of(runs: int, evaluate) -> tuple[float, object]:
@@ -47,12 +62,11 @@ def _best_of(runs: int, evaluate) -> tuple[float, object]:
 
 
 def _assert_identical(baseline, guarded) -> None:
-    left = baseline.to_payload_columns()
-    right = guarded.to_payload_columns()
-    assert left.keys() == right.keys()
-    for name in left:
+    assert baseline.columns.keys() == guarded.columns.keys()
+    for name, left in baseline.columns.items():
+        # NaN marks the operating point of an infeasible row.
         assert np.array_equal(
-            np.asarray(left[name]), np.asarray(right[name])
+            left, guarded.columns[name], equal_nan=left.dtype.kind == "f"
         ), f"column {name!r} differs under an active deadline"
 
 

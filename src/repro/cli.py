@@ -217,13 +217,16 @@ _EXPLORE_METHOD_SOLVERS = {
 
 
 def _export_table_npz(result, path: str) -> None:
-    """Write a result set to ``path`` as a columnar ``.npz`` archive."""
+    """Write a result set to ``path`` as a result archive (``read_entry``)."""
+    from .explore.cache import write_entry
+    from .explore.columnar import ResultTable
+
     table = result._table
     if table is None:
-        from .explore.columnar import ResultTable
-
         table = ResultTable.from_records(list(result.records))
-    table.save_npz(path)
+    write_entry(
+        path, {"solver": result.solver, "columns": table.to_payload_columns()}
+    )
 
 
 def _cmd_explore(args) -> int:

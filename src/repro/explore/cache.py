@@ -1,37 +1,50 @@
-"""Content-addressed on-disk result cache for exploration sweeps.
+"""Content-addressed on-disk result cache, and the one result-file codec.
 
 A sweep is keyed by the SHA-256 of its canonical-JSON payload (scenario
 definition + evaluation method + cache schema version), so re-running
 the same scenario is a single file read and *any* change to the sweep —
-one frequency, one transform parameter — moves to a fresh key.  Entries
-are plain JSON files: inspectable, diffable, and safe to delete.
+one frequency, one transform parameter — moves to a fresh key.
+
+Every stored result (cache entry, job result, ``explore --export
+*.npz``) is one uncompressed ``.npz`` written by :func:`write_entry` and
+read by :func:`read_entry`, bit for bit.  Members: ``header`` (UTF-8
+JSON of the format version, the payload minus ``"columns"`` and each
+string column's vocabulary), ``floats`` (the float64 columns, one row
+each), ``codes`` (int32 codes of the string columns) and ``feasible``.
+A payload without ``"columns"`` stores ``header`` only.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
+import struct
 import tempfile
+import zipfile
 from pathlib import Path
-from typing import Any
+from typing import IO, Any, Mapping
+
+import numpy as np
 
 from .. import obs
 from ..resilience import faults
+from .columnar import FLOAT_COLUMNS, OPTIONAL_FLOAT_COLUMNS, STRING_COLUMNS
 
 #: Bump whenever cached *results* could change — payload layout, model
 #: equations, fallback thresholds — so old entries miss instead of
 #: silently serving stale numbers.  The engine additionally folds the
 #: package version and the kernel's fallback constants into the key.
-#: v2: columnar payload ("columns": one list per PointResult field)
-#: replaces the row-wise "points"/"records" lists.  Readers accept both
-#: layouts (ResultTable.from_cache_payload), so v1 entries still *load*;
-#: the bump (plus the version folded into the key) means engine lookups
-#: deliberately miss them after an upgrade instead of trusting them.
-CACHE_SCHEMA_VERSION = 2
+#: It is also the format version in every entry's header.
+#: v3: binary ``.npz`` entries (:func:`write_entry`); the JSON ``.json``
+#: entries of v1/v2 are no longer read.
+CACHE_SCHEMA_VERSION = 3
 
 #: Environment override for the default cache location.
 CACHE_DIR_ENV = "REPRO_EXPLORE_CACHE"
+
+_FLOAT_NAMES = FLOAT_COLUMNS + OPTIONAL_FLOAT_COLUMNS
 
 
 def canonical_json(payload: Any) -> str:
@@ -52,15 +65,120 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "explore"
 
 
+def _dictionary_encode(values: np.ndarray) -> tuple[list, np.ndarray]:
+    """(vocabulary, int32 codes) of one string column, first-seen order."""
+    vocabulary = list(dict.fromkeys(values.tolist()))
+    lookup = {word: code for code, word in enumerate(vocabulary)}
+    codes = np.fromiter(map(lookup.__getitem__, values), np.int32, len(values))
+    return vocabulary, codes
+
+
+def write_entry(path: str | Path, payload: Mapping[str, Any]) -> Path:
+    """Atomically (temp file, then rename) write ``payload`` to ``path``.
+
+    ``payload["columns"]`` is ``ResultTable.to_payload_columns()``, if
+    present; the rest of the payload must be JSON-encodable.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    header: dict[str, Any] = {
+        "format": CACHE_SCHEMA_VERSION,
+        "payload": {k: v for k, v in payload.items() if k != "columns"},
+    }
+    arrays: dict[str, np.ndarray] = {}
+    columns = payload.get("columns")
+    if columns is not None:
+        encoded = [_dictionary_encode(columns[name]) for name in STRING_COLUMNS]
+        header["vocab"] = {
+            name: words for name, (words, _) in zip(STRING_COLUMNS, encoded)
+        }
+        arrays = {
+            "floats": np.array(
+                [columns[name] for name in _FLOAT_NAMES], dtype=np.float64
+            ),
+            "codes": np.array([codes for _, codes in encoded], dtype=np.int32),
+            "feasible": np.asarray(columns["feasible"], dtype=bool),
+        }
+    text = json.dumps(header).encode("utf-8")
+    arrays = {"header": np.frombuffer(text, dtype=np.uint8), **arrays}
+    # Build the archive in memory and write it once: zipfile's seeks and
+    # rewrites of member headers cost more syscalls on a real file.
+    buffer = io.BytesIO()
+    np.savez(buffer, allow_pickle=False, **arrays)
+    descriptor, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(descriptor, "wb") as handle:
+            handle.write(buffer.getbuffer())
+        os.replace(temp_name, path)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
+    return path
+
+
+def _decode_columns(archive, vocab: Mapping[str, Any]) -> dict[str, np.ndarray]:
+    floats, codes, feasible = (archive[m] for m in ("floats", "codes", "feasible"))
+    n = len(feasible)
+    for name, array, dtype, shape in (
+        ("floats", floats, np.float64, (len(_FLOAT_NAMES), n)),
+        ("codes", codes, np.int32, (len(STRING_COLUMNS), n)),
+        ("feasible", feasible, np.bool_, (n,)),
+    ):
+        if array.dtype != dtype or array.shape != shape:
+            raise ValueError(f"entry member {name!r} is not {dtype}{shape}")
+    columns = dict(zip(_FLOAT_NAMES, floats), feasible=feasible)
+    for name, row in zip(STRING_COLUMNS, codes):
+        words = np.empty(len(vocab[name]), dtype=object)
+        words[:] = vocab[name]
+        if n and (row.min() < 0 or row.max() >= len(words)):
+            raise ValueError(f"entry column {name!r} has a code outside its vocabulary")
+        columns[name] = words[row]
+    for array in columns.values():
+        array.flags.writeable = False
+    return columns
+
+
+def read_entry(source: str | Path | IO[bytes]) -> dict[str, Any]:
+    """The payload stored by :func:`write_entry`, columns as read-only arrays.
+
+    ``source`` is a path or a binary file object.  Nothing is unpickled,
+    and every malformed input — a torn or foreign file, a missing
+    member, bad JSON, another format version, a code outside its
+    vocabulary — raises ``ValueError``.  A missing file raises
+    ``FileNotFoundError``.
+    """
+    if not hasattr(source, "read"):
+        # np.load leaks the file it opens when the zip is torn.
+        with open(source, "rb") as handle:
+            return read_entry(handle)
+    try:
+        with np.load(source, allow_pickle=False) as archive:
+            header = json.loads(archive["header"].tobytes())
+            if header.get("format") != CACHE_SCHEMA_VERSION:
+                raise ValueError(f"entry format is not {CACHE_SCHEMA_VERSION}")
+            payload = dict(header["payload"])
+            if "vocab" in header:
+                payload["columns"] = _decode_columns(archive, header["vocab"])
+    except (
+        AttributeError, EOFError, KeyError, TypeError, struct.error,
+        zipfile.BadZipFile,
+    ) as error:
+        raise ValueError(f"unreadable result entry: {error!r}") from error
+    return payload
+
+
 class ResultCache:
-    """JSON-file-per-entry cache keyed by content hash."""
+    """One :func:`write_entry` archive per entry, keyed by content hash."""
 
     def __init__(self, directory: str | Path | None = None) -> None:
         self.directory = Path(directory) if directory else default_cache_dir()
 
     def path_for(self, key: str) -> Path:
         """Where the entry for ``key`` lives (whether or not it exists)."""
-        return self.directory / f"{key}.json"
+        return self.directory / f"{key}.npz"
 
     def quarantine_path_for(self, key: str) -> Path:
         """Where a quarantined entry for ``key`` is moved aside to."""
@@ -69,7 +187,7 @@ class ResultCache:
     def quarantine(self, key: str) -> bool:
         """Move the entry for ``key`` aside so the next get recomputes.
 
-        Used when an entry turns out corrupt — torn JSON here, or a
+        Used when an entry turns out corrupt — a torn file here, or a
         payload the engine could not parse back into a table.  The file
         is kept (renamed ``.quarantined``) for post-mortem rather than
         deleted; returns True when something was actually moved.
@@ -91,15 +209,14 @@ class ResultCache:
         """
         path = self.path_for(key)
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                text = handle.read()
+            data = path.read_bytes()
             if faults.active():
-                text = faults.mangle("cache.read", text)
-            payload = json.loads(text)
+                data = faults.mangle("cache.read", data)
+            payload = read_entry(io.BytesIO(data))
         except FileNotFoundError:
             obs.inc("cache.disk.misses")
             return None
-        except (OSError, json.JSONDecodeError, faults.FaultError):
+        except (OSError, ValueError, faults.FaultError):
             self.quarantine(key)
             obs.inc("cache.disk.misses")
             return None
@@ -107,27 +224,9 @@ class ResultCache:
         return payload
 
     def put(self, key: str, payload: dict) -> Path:
-        """Atomically store ``payload`` under ``key``; returns the path.
-
-        Write-to-temp-then-rename so a crashed run never leaves a
-        half-written (and therefore poisoned) entry behind.
-        """
+        """Atomically store ``payload`` under ``key``; returns the path."""
         faults.check("cache.write")
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=self.directory, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        path = write_entry(self.path_for(key), payload)
         obs.inc("cache.disk.puts")
         return path
 
@@ -135,7 +234,7 @@ class ResultCache:
         """Paths of every stored entry (empty when the dir is absent)."""
         if not self.directory.is_dir():
             return []
-        return sorted(self.directory.glob("*.json"))
+        return sorted(self.directory.glob("*.npz"))
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""

@@ -64,11 +64,6 @@ FLOAT_COLUMNS = (
 #: as float64 with NaN standing in for the missing value.
 OPTIONAL_FLOAT_COLUMNS = ("vdd", "vth", "pdyn", "pstat", "ptot")
 
-BOOL_COLUMNS = ("feasible",)
-
-#: Layout version of :meth:`ResultTable.save_npz` files.
-NPZ_SCHEMA_VERSION = 1
-
 
 def str_column(n: int, value: str) -> np.ndarray:
     """An object column holding ``value`` in all ``n`` rows.
@@ -232,9 +227,14 @@ class ResultTable:
             for values in zip(*(columns[name] for name in names))
         ]
 
-    def to_payload_columns(self) -> dict[str, list]:
-        """The compact columnar cache payload (field name → value list)."""
-        return self._python_columns()
+    def to_payload_columns(self) -> dict[str, np.ndarray]:
+        """The columns of a cache payload (field name → array), no copy.
+
+        Cache tiers share these arrays, so they become read-only here.
+        """
+        for array in self.columns.values():
+            array.flags.writeable = False
+        return dict(self.columns)
 
     def iter_ndjson_chunks(
         self, chunk_rows: int = 2048, kind: str = "record"
@@ -327,111 +327,9 @@ class ResultTable:
         )
 
     @classmethod
-    def from_payload_columns(cls, payload: Mapping[str, list]) -> "ResultTable":
-        """Rebuild from a field-name → value-list mapping, validating shape.
-
-        Raises ``ValueError`` on a missing column or ragged lengths so a
-        corrupt cache entry surfaces as one well-typed error the engine
-        can quarantine on, rather than a KeyError / broadcast error from
-        deep inside numpy.
-        """
-        missing = [
-            name for name in _field_names() if name not in payload
-        ]
-        if missing:
-            raise ValueError(
-                f"cache payload missing columns: {', '.join(missing)}"
-            )
-        lengths = {name: len(payload[name]) for name in _field_names()}
-        if len(set(lengths.values())) > 1:
-            raise ValueError(
-                f"cache payload columns are ragged: {lengths}"
-            )
-        columns: dict[str, np.ndarray] = {}
-        for name in STRING_COLUMNS:
-            columns[name] = np.array(payload[name], dtype=object)
-        for name in FLOAT_COLUMNS:
-            columns[name] = np.array(payload[name], dtype=float)
-        for name in OPTIONAL_FLOAT_COLUMNS:
-            columns[name] = np.array(
-                [np.nan if value is None else value for value in payload[name]],
-                dtype=float,
-            )
-        columns["feasible"] = np.array(payload["feasible"], dtype=bool)
-        return cls(columns)
-
-    @classmethod
     def from_cache_payload(cls, payload: Mapping[str, Any]) -> "ResultTable":
-        """Rebuild a table from a cache entry, old row-wise schema included.
-
-        New entries store ``"columns"`` (one list per field); entries
-        written before the columnar pipeline store ``"points"`` (engine)
-        or ``"records"`` (Study registry path) as lists of row dicts.
-        Both shapes load to identical tables.
-        """
-        if "columns" in payload:
-            return cls.from_payload_columns(payload["columns"])
-        rows = payload.get("points")
-        if rows is None:
-            rows = payload.get("records", [])
-        record = _record_cls()
-        return cls.from_records([record.from_dict(row) for row in rows])
-
-    def save_npz(self, path) -> "Path":
-        """Write the table to one compressed ``.npz``, column per entry.
-
-        The binary twin of :meth:`to_payload_columns`: no JSON encode
-        cost, floats stay bit-exact (NaN marks infeasible), strings are
-        stored as fixed-width unicode arrays.  A ``__schema__`` entry
-        versions the layout for :meth:`load_npz`.
-        """
-        from pathlib import Path
-
-        path = Path(path)
-        arrays: dict[str, np.ndarray] = {
-            name: np.asarray(self.columns[name], dtype=np.str_)
-            for name in STRING_COLUMNS
-        }
-        for name in FLOAT_COLUMNS + OPTIONAL_FLOAT_COLUMNS + BOOL_COLUMNS:
-            arrays[name] = self.columns[name]
-        np.savez_compressed(
-            path, __schema__=np.int64(NPZ_SCHEMA_VERSION), **arrays
-        )
-        return path
-
-    @classmethod
-    def load_npz(cls, path) -> "ResultTable":
-        """Round-trip partner of :meth:`save_npz` (bit-exact floats)."""
-        from pathlib import Path
-
-        with np.load(Path(path)) as data:
-            if "__schema__" not in data:
-                raise ValueError(
-                    f"{path}: not a ResultTable npz (missing __schema__)"
-                )
-            if int(data["__schema__"]) != NPZ_SCHEMA_VERSION:
-                raise ValueError(
-                    f"{path}: unsupported ResultTable npz schema "
-                    f"{int(data['__schema__'])} (expected {NPZ_SCHEMA_VERSION})"
-                )
-            missing = [
-                name
-                for name in STRING_COLUMNS
-                + FLOAT_COLUMNS
-                + OPTIONAL_FLOAT_COLUMNS
-                + BOOL_COLUMNS
-                if name not in data
-            ]
-            if missing:
-                raise ValueError(f"{path}: missing columns {missing}")
-            columns: dict[str, np.ndarray] = {
-                name: np.array(data[name].tolist(), dtype=object)
-                for name in STRING_COLUMNS
-            }
-            for name in FLOAT_COLUMNS + OPTIONAL_FLOAT_COLUMNS:
-                columns[name] = np.asarray(data[name], dtype=float)
-            columns["feasible"] = np.asarray(data["feasible"], dtype=bool)
-        return cls(columns)
+        """The table of a cache entry or job result payload."""
+        return cls(payload["columns"])
 
 
 class ResultRows(Sequence):

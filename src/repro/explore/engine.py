@@ -629,7 +629,7 @@ def explore(
                         table = ResultTable.from_cache_payload(stored)
                         stats = EvaluationStats.from_dict(stored["stats"])
                 except (KeyError, ValueError, TypeError):
-                    # The entry parsed as JSON but is not a result we
+                    # The entry decoded but is not a result we
                     # can trust: quarantine it and recompute, the same
                     # contract as a torn file.
                     quarantine = getattr(cache, "quarantine", None)

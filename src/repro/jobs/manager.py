@@ -688,11 +688,7 @@ class JobManager:
             payload["scenario"] = result.scenario.to_dict()
         if result.stats is not None:
             payload["stats"] = result.stats.to_dict()
-        table = result._table
-        if table is not None:
-            payload["columns"] = table.to_payload_columns()
-        else:  # pragma: no cover — every local producer is table-backed
-            payload["records"] = result.to_dicts()
+        payload["columns"] = result._table.to_payload_columns()
         return payload
 
     # -- queries -------------------------------------------------------------

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .. import obs
+from ..explore.cache import read_entry, write_entry
 from ..resilience import faults
 
 __all__ = [
@@ -193,7 +194,7 @@ class JobStore:
         return self.directory / f"{job_id}.json"
 
     def result_path_for(self, job_id: str) -> Path:
-        return self.directory / f"{job_id}.result.json"
+        return self.directory / f"{job_id}.result.npz"
 
     @staticmethod
     def _backup_path_for(path: Path) -> Path:
@@ -234,7 +235,7 @@ class JobStore:
             return
         recovered = 0
         for path in sorted(self.directory.glob("*.json")):
-            if path.name.endswith(".result.json"):
+            if path.name.endswith(".result.json"):  # results of <= 1.9
                 continue
             record = self._read_record(path)
             if record is None:
@@ -438,19 +439,15 @@ class JobStore:
 
     # -- results -------------------------------------------------------------
     def write_result(self, job_id: str, payload: Mapping[str, Any]) -> Path:
-        """Persist a job's merged columnar result payload atomically."""
-        path = self.result_path_for(job_id)
-        self._write(path, dict(payload))
-        return path
+        """Persist a job's merged result payload as a result archive."""
+        faults.check("store.write")
+        return write_entry(self.result_path_for(job_id), payload)
 
     def read_result(self, job_id: str) -> dict[str, Any] | None:
         """The stored result payload, or None when absent/unreadable."""
         try:
-            with self.result_path_for(job_id).open(
-                "r", encoding="utf-8"
-            ) as handle:
-                return json.load(handle)
-        except (OSError, json.JSONDecodeError):
+            return read_entry(self.result_path_for(job_id))
+        except (OSError, ValueError):
             return None
 
     # -- change notification --------------------------------------------------

@@ -291,10 +291,10 @@ def check(site: str) -> None:
     _fire(rule)
 
 
-def mangle(site: str, text: str) -> str:
-    """Maybe corrupt a payload read/written at ``site``.
+def mangle(site: str, text: str | bytes) -> str | bytes:
+    """Maybe corrupt a payload (text or bytes) read/written at ``site``.
 
-    ``corrupt`` mode returns the text truncated to half length (a torn
+    ``corrupt`` mode returns the payload truncated to half length (a torn
     write); ``error`` raises; ``hang`` sleeps then passes the payload
     through unchanged.
     """

@@ -2,7 +2,7 @@
 
 The on-disk :class:`~repro.explore.cache.ResultCache` makes repeated
 sweeps a file read; under serving traffic even that read (open + parse a
-multi-megabyte JSON entry per request) dominates the response time.
+multi-megabyte archive per request) dominates the response time.
 :class:`MemoryCache` keeps the hottest payloads parsed in memory behind
 a lock, :class:`TieredCache` stacks it in front of the disk tier
 (memory hit → done; disk hit → promote; miss → evaluate, write both),
@@ -11,7 +11,8 @@ user-supplied cache spec into that stack — so the CLI and every
 in-process caller ride the warm tier too, not just the HTTP service.
 
 Payloads are stored by reference and must be treated as immutable by
-consumers (the engine only ever parses them into frozen dataclasses).
+consumers; their column arrays are read-only, so a write into a table
+served from either tier raises instead of poisoning the tier.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def default_memory_cache() -> MemoryCache:
 
 
 class TieredCache:
-    """Memory LRU in front of the on-disk JSON cache, one ``get``/``put``.
+    """Memory LRU in front of the on-disk result cache, one ``get``/``put``.
 
     Drop-in for :class:`~repro.explore.cache.ResultCache` where the
     engine and ``Study`` use it: ``get`` consults memory first and

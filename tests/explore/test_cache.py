@@ -1,4 +1,4 @@
-"""Content hashing and the JSON-on-disk result cache."""
+"""Content hashing and the on-disk result cache."""
 
 import os
 
@@ -52,7 +52,7 @@ class TestResultCache:
     def test_put_is_atomic_no_temp_left_behind(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("key", {"ok": True})
-        assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+        assert [p.suffix for p in tmp_path.iterdir()] == [".npz"]
 
     def test_entries_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.explore.cache import ResultCache
+from repro.explore.cache import (
+    CACHE_SCHEMA_VERSION,
+    ResultCache,
+    read_entry,
+    write_entry,
+)
 from repro.explore.columnar import ResultTable, expand_columns
 from repro.explore.engine import (
     EvaluationStats,
@@ -83,26 +88,16 @@ class TestResultTable:
             row.to_dict() for row in mixed_table.rows()
         ]
 
-    def test_payload_columns_round_trip(self, mixed_table):
-        payload = mixed_table.to_payload_columns()
-        rebuilt = ResultTable.from_payload_columns(
-            json.loads(json.dumps(payload))
-        )
-        assert rebuilt.rows() == mixed_table.rows()
-
-    def test_legacy_row_payloads_load(self, mixed_table):
-        rows = mixed_table.to_dicts()
-        for key in ("points", "records"):
-            rebuilt = ResultTable.from_cache_payload({key: rows})
-            assert rebuilt.rows() == mixed_table.rows()
-
     def test_from_records_round_trip(self, mixed_table):
         records = list(mixed_table.rows())
         assert ResultTable.from_records(records).rows() == records
 
     def test_npz_round_trip_is_bit_exact(self, mixed_table, tmp_path):
-        path = mixed_table.save_npz(tmp_path / "table.npz")
-        rebuilt = ResultTable.load_npz(path)
+        path = write_entry(
+            tmp_path / "table.npz",
+            {"columns": mixed_table.to_payload_columns()},
+        )
+        rebuilt = ResultTable.from_cache_payload(read_entry(path))
         assert rebuilt.rows() == mixed_table.rows()
         for name, column in mixed_table.columns.items():
             if column.dtype == object:
@@ -113,29 +108,34 @@ class TestResultTable:
 
     def test_npz_round_trip_of_an_empty_table(self, tmp_path):
         empty = ResultTable.from_records([])
-        path = empty.save_npz(tmp_path / "empty.npz")
-        assert len(ResultTable.load_npz(path)) == 0
+        path = write_entry(
+            tmp_path / "empty.npz", {"columns": empty.to_payload_columns()}
+        )
+        assert len(ResultTable.from_cache_payload(read_entry(path))) == 0
 
     def test_load_npz_rejects_foreign_archives(self, tmp_path):
         import numpy as np
 
         path = tmp_path / "foreign.npz"
         np.savez(path, stuff=np.arange(3))
-        with pytest.raises(ValueError, match="missing __schema__"):
-            ResultTable.load_npz(path)
+        with pytest.raises(ValueError, match="header"):
+            read_entry(path)
 
     def test_load_npz_rejects_unknown_schema(self, mixed_table, tmp_path):
         import numpy as np
 
-        from repro.explore.columnar import NPZ_SCHEMA_VERSION
-
-        path = mixed_table.save_npz(tmp_path / "table.npz")
-        with np.load(path) as data:
+        path = write_entry(
+            tmp_path / "table.npz",
+            {"columns": mixed_table.to_payload_columns()},
+        )
+        with np.load(path, allow_pickle=False) as data:
             arrays = {name: data[name] for name in data.files}
-        arrays["__schema__"] = np.int64(NPZ_SCHEMA_VERSION + 1)
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(ValueError, match="unsupported"):
-            ResultTable.load_npz(path)
+        header = json.loads(arrays["header"].tobytes())
+        header["format"] = CACHE_SCHEMA_VERSION + 1
+        arrays["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="format"):
+            read_entry(path)
 
     def test_missing_column_rejected(self, mixed_table):
         columns = dict(mixed_table.columns)
@@ -261,10 +261,11 @@ class TestColumnarEdgeCases:
 
 
 class TestLegacyCacheEntries:
-    def test_old_row_wise_engine_entry_is_served_identically(
+    def test_old_row_wise_engine_entry_is_recomputed(
         self, mixed_scenario, tmp_path
     ):
-        """An entry written by the pre-columnar engine still loads."""
+        """Entries of earlier releases never serve: JSON files are not
+        read, and a row-wise payload is quarantined and recomputed."""
         from repro.service.memcache import default_memory_cache
 
         fresh = explore(mixed_scenario, cache=tmp_path, use_cache=False)
@@ -277,15 +278,20 @@ class TestLegacyCacheEntries:
             "points": [row.to_dict() for row in fresh.points],
         }
         key = cache_key(mixed_scenario, "auto")
-        ResultCache(tmp_path).put(key, legacy_payload)
+        cache = ResultCache(tmp_path)
+        old_file = tmp_path / f"{key}.json"
+        old_file.write_text(json.dumps(legacy_payload), encoding="utf-8")
         default_memory_cache().clear()
 
         served = explore(mixed_scenario, cache=tmp_path)
-        assert served.cache_hit
+        assert not served.cache_hit
         assert served.points == fresh.points
-        assert served.parity_checked
-        assert json.dumps(
-            [row.to_dict() for row in served.points], sort_keys=True
-        ) == json.dumps(
-            [row.to_dict() for row in fresh.points], sort_keys=True
-        )
+        assert old_file.exists()
+        assert cache.entries() == [cache.path_for(key)]
+
+        cache.put(key, legacy_payload)
+        default_memory_cache().clear()
+        served = explore(mixed_scenario, cache=tmp_path)
+        assert not served.cache_hit
+        assert served.points == fresh.points
+        assert cache.quarantine_path_for(key).exists()

@@ -12,7 +12,7 @@ import pytest
 from repro.cli import main
 from repro.core.numerical import numerical_optimum
 from repro.core.technology import flavour
-from repro.explore.cache import ResultCache
+from repro.explore.cache import ResultCache, read_entry
 from repro.explore.columnar import ResultTable
 from repro.explore.engine import SCALAR_FALLBACK_ROWS, evaluate_table, explore
 from repro.explore.scenario import FrequencyGrid, Scenario, demo_scenario
@@ -152,7 +152,7 @@ def test_vectorized_is_one_name_on_every_door(tmp_path):
         "explore", "--method", "closed-form", "--frequency-points", "3",
         "--no-cache", "--top", "1", "--export", str(target),
     ]) == 0
-    exported = ResultTable.load_npz(target)
+    exported = ResultTable.from_cache_payload(read_entry(target))
 
     assert set(studied.column("method")) == {"vectorized-closed-form"}
     assert_tables_identical(explored, studied)

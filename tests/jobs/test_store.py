@@ -5,6 +5,8 @@ import threading
 
 import pytest
 
+from repro.explore.columnar import ResultTable
+from repro.explore.engine import evaluate_table
 from repro.explore.scenario import demo_scenario
 from repro.jobs import JobNotFound, JobStore
 from repro.jobs.store import MAX_EVENTS, STATES, TERMINAL_STATES
@@ -133,8 +135,20 @@ class TestPersistence:
     def test_result_round_trip_and_absence(self, store):
         record = make_job(store)
         assert store.read_result(record.id) is None
-        store.write_result(record.id, {"n_records": 7, "columns": {}})
-        assert store.read_result(record.id)["n_records"] == 7
+        table = evaluate_table(demo_scenario(frequency_points=2))
+        path = store.write_result(
+            record.id, {"n_records": 7, "columns": table.to_payload_columns()}
+        )
+        assert path.name == f"{record.id}.result.npz"
+        stored = store.read_result(record.id)
+        assert stored["n_records"] == 7
+        rebuilt = ResultTable.from_cache_payload(stored)
+        assert rebuilt.rows() == table.rows()
+        for name, column in table.columns.items():
+            if column.dtype == object:
+                assert rebuilt.columns[name].tolist() == column.tolist()
+            else:
+                assert rebuilt.columns[name].tobytes() == column.tobytes()
         # Result files must not be mistaken for job records on reload.
         reborn = JobStore(store.directory)
         assert len(reborn.list()) == 1

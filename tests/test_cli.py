@@ -114,6 +114,7 @@ class TestExplore:
         assert "content hash" in out
 
     def test_export_npz_round_trips(self, tmp_path, capsys):
+        from repro.explore.cache import read_entry
         from repro.explore.columnar import ResultTable
 
         target = tmp_path / "sweep.npz"
@@ -124,7 +125,7 @@ class TestExplore:
         out = capsys.readouterr().out
         assert code == 0
         assert f"exported 72 records to {target}" in out
-        table = ResultTable.load_npz(target)
+        table = ResultTable.from_cache_payload(read_entry(target))
         assert len(table) == 72
 
     def test_export_bad_suffix_rejected_before_the_sweep(self, capsys):

@@ -4,7 +4,8 @@ A removed solver name is an unknown solver: the fluent builder rejects
 it when the study is built, the HTTP service answers 400
 ``unknown-solver``, and a job persisted under it before the upgrade
 fails on recovery without stalling the dispatcher.  The removed object
-pipeline and process pool are gone from the import surface.
+pipeline, the process pool and the old result codecs are gone from the
+import surface.
 """
 
 import pytest
@@ -92,3 +93,13 @@ def test_the_object_pipeline_and_process_pool_are_gone():
         assert not hasattr(module, "evaluate_points")
         assert not hasattr(module, "PointOutcome")
     assert not hasattr(Study, "jobs")
+
+
+def test_the_json_list_and_compressed_result_codecs_are_gone():
+    """``write_entry``/``read_entry`` are the one result-file codec."""
+    import repro.explore.columnar as columnar
+    from repro.explore.columnar import ResultTable
+
+    for name in ("save_npz", "load_npz", "from_payload_columns"):
+        assert not hasattr(ResultTable, name)
+    assert not hasattr(columnar, "NPZ_SCHEMA_VERSION")
