@@ -6,12 +6,14 @@ the same scenario is a single file read and *any* change to the sweep —
 one frequency, one transform parameter — moves to a fresh key.
 
 Every stored result (cache entry, job result, ``explore --export
-*.npz``) is one uncompressed ``.npz`` written by :func:`write_entry` and
-read by :func:`read_entry`, bit for bit.  Members: ``header`` (UTF-8
-JSON of the format version, the payload minus ``"columns"`` and each
-string column's vocabulary), ``floats`` (the float64 columns, one row
-each), ``codes`` (int32 codes of the string columns) and ``feasible``.
-A payload without ``"columns"`` stores ``header`` only.
+*.npz``) and every binary HTTP result (``application/x-repro-columns``)
+is one uncompressed ``.npz`` built by :func:`encode_entry`, stored by
+:func:`write_entry` and read by :func:`read_entry`, bit for bit.
+Members: ``header`` (UTF-8 JSON of the format version, the payload
+minus ``"columns"`` and each string column's vocabulary), ``floats``
+(the float64 columns, one row each), ``codes`` (int32 codes of the
+string columns) and ``feasible``.  A payload without ``"columns"``
+stores ``header`` only.
 """
 
 from __future__ import annotations
@@ -73,14 +75,12 @@ def _dictionary_encode(values: np.ndarray) -> tuple[list, np.ndarray]:
     return vocabulary, codes
 
 
-def write_entry(path: str | Path, payload: Mapping[str, Any]) -> Path:
-    """Atomically (temp file, then rename) write ``payload`` to ``path``.
+def encode_entry(payload: Mapping[str, Any]) -> bytes:
+    """``payload`` as the bytes of one result archive (file or HTTP body).
 
     ``payload["columns"]`` is ``ResultTable.to_payload_columns()``, if
     present; the rest of the payload must be JSON-encodable.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header: dict[str, Any] = {
         "format": CACHE_SCHEMA_VERSION,
         "payload": {k: v for k, v in payload.items() if k != "columns"},
@@ -101,14 +101,22 @@ def write_entry(path: str | Path, payload: Mapping[str, Any]) -> Path:
         }
     text = json.dumps(header).encode("utf-8")
     arrays = {"header": np.frombuffer(text, dtype=np.uint8), **arrays}
-    # Build the archive in memory and write it once: zipfile's seeks and
-    # rewrites of member headers cost more syscalls on a real file.
+    # Build the archive in memory: zipfile's seeks and rewrites of member
+    # headers cost more syscalls on a real file.
     buffer = io.BytesIO()
     np.savez(buffer, allow_pickle=False, **arrays)
+    return buffer.getvalue()
+
+
+def write_entry(path: str | Path, payload: Mapping[str, Any]) -> Path:
+    """Atomically (temp file, then rename) write :func:`encode_entry` to ``path``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    data = encode_entry(payload)
     descriptor, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(descriptor, "wb") as handle:
-            handle.write(buffer.getbuffer())
+            handle.write(data)
         os.replace(temp_name, path)
     except BaseException:
         try:

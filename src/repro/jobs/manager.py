@@ -40,9 +40,7 @@ from typing import Any, Callable, Iterator, Mapping
 from .. import obs
 from ..resilience import Deadline, DeadlineExceeded, faults
 from ..explore.cache import ResultCache
-from ..explore.columnar import ResultTable
 from ..explore.engine import (
-    EvaluationStats,
     ExplorationResult,
     cache_key,
     explore,
@@ -52,7 +50,7 @@ from ..explore.scenario import Scenario
 from ..service.coalesce import Coalescer
 from ..service.memcache import TieredCache, as_cache
 from ..solvers import get_solver
-from ..study import ResultSet
+from ..study import ResultSet, result_from_payload, result_payload
 from .sharder import Shard, merge_stats, merge_tables, shard_scenario
 from .store import JobRecord, JobStore
 
@@ -384,7 +382,7 @@ class JobManager:
         else:
             partial = bool(getattr(result, "partial", False))
             self.store.write_result(
-                job_id, self._result_payload(result, coalesced)
+                job_id, result_payload(result, coalesced, columns=True)
             )
             if not partial:
                 # A full result completes the progress counters; a
@@ -673,24 +671,6 @@ class JobManager:
             partial=partial,
         )
 
-    def _result_payload(
-        self, result: ResultSet, coalesced: bool
-    ) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "solver": result.solver,
-            "n_records": len(result),
-            "coalesced": coalesced,
-            "cache": {"hit": result.cache_hit, "key": result.cache_key},
-        }
-        if getattr(result, "partial", False):
-            payload["partial"] = True
-        if result.scenario is not None:
-            payload["scenario"] = result.scenario.to_dict()
-        if result.stats is not None:
-            payload["stats"] = result.stats.to_dict()
-        payload["columns"] = result._table.to_payload_columns()
-        return payload
-
     # -- queries -------------------------------------------------------------
     def job(self, job_id: str) -> dict[str, Any]:
         """The status payload for one job (raises :class:`JobNotFound`)."""
@@ -765,26 +745,12 @@ class JobManager:
 
     def job_result(self, job_id: str) -> ResultSet:
         """The merged result of a ``done`` job as a typed ResultSet."""
-        payload = self._result_for(job_id)
-        table = ResultTable.from_cache_payload(payload)
-        stats = payload.get("stats")
-        cache = payload.get("cache", {})
-        return ResultSet(
-            records=table.rows(),
-            solver=str(payload.get("solver", "")),
-            scenario=Scenario.from_dict(payload["scenario"])
-            if "scenario" in payload
-            else None,
-            stats=EvaluationStats.from_dict(stats) if stats else None,
-            cache_hit=bool(cache.get("hit", False)),
-            cache_key=str(cache.get("key", "")),
-            partial=bool(payload.get("partial", False)),
-        )
+        return result_from_payload(self._result_for(job_id))
 
     def job_result_response(self, job_id: str) -> tuple[ResultSet, bool]:
         """(ResultSet, coalesced) — what the result route serialises."""
         payload = self._result_for(job_id)
-        return self.job_result(job_id), bool(payload.get("coalesced", False))
+        return result_from_payload(payload), bool(payload.get("coalesced"))
 
     def _result_for(self, job_id: str) -> dict[str, Any]:
         record = self.store.get(job_id)

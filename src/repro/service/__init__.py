@@ -21,13 +21,15 @@ surface, built from four layers:
 ``server``
     The threaded HTTP front end (:class:`ExplorationServer`): bounded
     worker concurrency, request/latency logging, structured JSON
-    errors, NDJSON streaming for large sweeps, and the ``/v1/*`` routes
+    errors, results as JSON, NDJSON or the binary result archive (by
+    ``Accept``), and the ``/v1/*`` routes
     (``explore``, ``optimize``, ``solvers``, ``architectures``,
     ``healthz``, ``cache/stats``).
 ``client``
     :class:`ServiceClient` — a thin stdlib client whose
     :meth:`~ServiceClient.study` mirrors the :class:`~repro.study.Study`
-    fluent API and returns the same :class:`~repro.study.ResultSet`.
+    fluent API and returns the same :class:`~repro.study.ResultSet`,
+    decoded from the binary result archive.
 
 Quick start::
 

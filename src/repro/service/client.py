@@ -5,11 +5,16 @@ returns a :class:`RemoteStudy` with the exact fluent builder of
 :class:`~repro.study.Study` (it *is* a ``Study`` subclass — the builder
 compiles the scenario client-side), whose ``run()`` posts to
 ``/v1/explore`` and reconstructs the very same typed
-:class:`~repro.study.ResultSet` from the response.  Records round-trip
-exactly (JSON floats are repr-exact), so remote and local runs of one
-scenario compare equal record-for-record.
+:class:`~repro.study.ResultSet` from the response.
 
-Transport is ``urllib.request`` with JSON bodies; server-side failures
+Results (``explore``, ``job_result``) travel as one binary result
+archive (``Accept: application/x-repro-columns``, the codec of
+:func:`repro.explore.cache.read_entry`), decoded straight into a
+``ResultTable`` without building a row, so remote and local runs of one
+scenario are bit-identical column for column.  A body that is not such
+an archive raises ``ServiceError(502, "bad-response")``.
+
+Transport is ``urllib.request`` with JSON request bodies; server-side failures
 surface as :class:`ServiceError` carrying the structured error payload
 (status / type / message) the server emits.  An optional bounded retry
 (``retries=``, off by default) with exponential backoff + jitter covers
@@ -23,6 +28,8 @@ local ``Study.submit()``, and ``wait``/``cancel``/``job_result``/
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
 import random
 import time
@@ -33,13 +40,18 @@ from urllib import request as urllib_request
 from urllib.parse import urlencode
 
 from .. import obs
-from ..explore.engine import EvaluationStats
+from ..explore.cache import read_entry
 from ..explore.scenario import Scenario
 from ..jobs.handle import AsyncResult
 from ..jobs.manager import JobTimeout
 from ..resilience import DEADLINE_HEADER
-from ..study import Record, ResultSet, Study
-from .server import JSON_CONTENT_TYPE, NDJSON_CONTENT_TYPE, ServiceError
+from ..study import Record, ResultSet, Study, result_from_payload
+from .server import (
+    COLUMNS_CONTENT_TYPE,
+    JSON_CONTENT_TYPE,
+    NDJSON_CONTENT_TYPE,
+    ServiceError,
+)
 
 __all__ = ["RemoteStudy", "ServiceClient", "ServiceError"]
 
@@ -47,10 +59,6 @@ __all__ = ["RemoteStudy", "ServiceClient", "ServiceError"]
 #: seconds (plus up to 100% jitter), doubling to ``DEFAULT_BACKOFF_MAX``.
 DEFAULT_BACKOFF = 0.25
 DEFAULT_BACKOFF_MAX = 8.0
-
-#: Sweeps at least this large stream as NDJSON by default (the whole-
-#: payload JSON response is fine below it).
-STREAM_THRESHOLD = 512
 
 
 def _parse_retry_after(headers: Any) -> float | None:
@@ -191,16 +199,13 @@ class ServiceClient:
             delay = min(delay * 2.0, self.backoff_max)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _request(
-        self,
-        method: str,
-        path: str,
-        payload: dict[str, Any] | None = None,
-        ndjson: bool = False,
-        extra_headers: dict[str, str] | None = None,
-    ) -> Any:
+    def _send(
+        self, method: str, path: str, payload=None, accept=JSON_CONTENT_TYPE,
+        extra_headers=None,
+    ):
+        """Open one request (JSON body, if any); returns the response."""
         headers = {
-            "Accept": NDJSON_CONTENT_TYPE if ndjson else JSON_CONTENT_TYPE,
+            "Accept": accept,
             **self._trace_headers(),
             **self._deadline_header(),
         }
@@ -213,18 +218,44 @@ class ServiceClient:
         request = urllib_request.Request(
             self.base_url + path, data=body, method=method, headers=headers
         )
-        with self._open(request) as response:
-            if ndjson:
-                return list(_iter_ndjson(response))
+        return self._open(request)
+
+    def _request(self, method: str, path: str, payload=None, extra_headers=None) -> Any:
+        """One JSON request → the decoded JSON response."""
+        with self._send(
+            method, path, payload, extra_headers=extra_headers
+        ) as response:
             return json.loads(response.read().decode("utf-8"))
 
     def _get(self, path: str) -> dict[str, Any]:
         return self._request("GET", path)
 
-    def _post(
-        self, path: str, payload: dict[str, Any], ndjson: bool = False
-    ) -> Any:
-        return self._request("POST", path, payload, ndjson=ndjson)
+    def _post(self, path: str, payload: dict[str, Any]) -> Any:
+        return self._request("POST", path, payload)
+
+    def _result(self, method: str, path: str, payload=None) -> ResultSet:
+        """A result route's binary archive, decoded into a ResultSet."""
+        with self._send(
+            method, path, payload, accept=COLUMNS_CONTENT_TYPE
+        ) as response:
+            content_type = response.headers.get("Content-Type", "")
+            if content_type.split(";")[0].strip() != COLUMNS_CONTENT_TYPE:
+                raise ServiceError(
+                    502,
+                    "bad-response",
+                    f"expected {COLUMNS_CONTENT_TYPE}, got "
+                    f"{content_type or 'no Content-Type'} (servers before "
+                    "1.11 answer JSON)",
+                )
+            try:
+                return result_from_payload(read_entry(io.BytesIO(response.read())))
+            except (
+                AttributeError, KeyError, TypeError, ValueError,
+                http.client.IncompleteRead,
+            ) as error:
+                raise ServiceError(
+                    502, "bad-response", f"unreadable result archive: {error!r}"
+                ) from None
 
     # -- introspection -------------------------------------------------------
     def healthz(self) -> dict[str, Any]:
@@ -253,11 +284,7 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """``/v1/metrics`` in the Prometheus text exposition format."""
-        request = urllib_request.Request(
-            self.base_url + "/v1/metrics",
-            headers={**self._trace_headers(), **self._deadline_header()},
-        )
-        with self._open(request) as response:
+        with self._send("GET", "/v1/metrics", accept="text/plain") as response:
             return response.read().decode("utf-8")
 
     def traces(
@@ -293,29 +320,15 @@ class ServiceClient:
         scenario: Scenario,
         solver: str = "auto",
         options: dict[str, Any] | None = None,
-        stream: bool | None = None,
     ) -> ResultSet:
-        """Run a scenario remotely; returns the same ``ResultSet`` shape.
-
-        ``stream=None`` picks NDJSON automatically for sweeps of
-        ``STREAM_THRESHOLD`` candidates or more.
-        """
-        if stream is None:
-            stream = scenario.size >= STREAM_THRESHOLD
+        """Run a scenario remotely; returns the same ``ResultSet`` shape."""
         payload: dict[str, Any] = {
             "scenario": scenario.to_dict(),
             "solver": solver,
         }
         if options:
             payload["options"] = options
-        if stream:
-            header, records = _split_ndjson(
-                self._post("/v1/explore", payload, ndjson=True)
-            )
-        else:
-            header = self._post("/v1/explore", payload)
-            records = header.get("records", [])
-        return _resultset_from_payload(header, records)
+        return self._result("POST", "/v1/explore", payload)
 
     def optimize(
         self,
@@ -406,21 +419,9 @@ class ServiceClient:
         """``DELETE /v1/jobs/{id}`` — request cancellation."""
         return self._request("DELETE", f"/v1/jobs/{job_id}")["job"]
 
-    def job_result(self, job_id: str, stream: bool = True) -> ResultSet:
-        """``GET /v1/jobs/{id}/result`` — the merged ResultSet.
-
-        Streams columnar NDJSON by default (job-sized sweeps are
-        usually large); ``stream=False`` fetches one JSON document.
-        """
-        path = f"/v1/jobs/{job_id}/result"
-        if stream:
-            header, records = _split_ndjson(
-                self._request("GET", path, ndjson=True)
-            )
-        else:
-            header = self._get(path)
-            records = header.get("records", [])
-        return _resultset_from_payload(header, records)
+    def job_result(self, job_id: str) -> ResultSet:
+        """``GET /v1/jobs/{id}/result`` — the merged ResultSet."""
+        return self._result("GET", f"/v1/jobs/{job_id}/result")
 
     def job_events(
         self, job_id: str, timeout: float = 30.0
@@ -430,15 +431,11 @@ class ServiceClient:
         Yields event dicts as the server emits them; the stream ends at
         a terminal state or after ``timeout`` seconds without news.
         """
-        request = urllib_request.Request(
-            f"{self.base_url}/v1/jobs/{job_id}/events?timeout={timeout:g}",
-            headers={
-                "Accept": NDJSON_CONTENT_TYPE,
-                **self._trace_headers(),
-                **self._deadline_header(),
-            },
-        )
-        with self._open(request) as response:
+        with self._send(
+            "GET",
+            f"/v1/jobs/{job_id}/events?timeout={timeout:g}",
+            accept=NDJSON_CONTENT_TYPE,
+        ) as response:
             yield from _iter_ndjson(response)
 
 
@@ -493,41 +490,3 @@ def _iter_ndjson(response) -> Iterator[dict[str, Any]]:
         line = raw.strip()
         if line:
             yield json.loads(line.decode("utf-8"))
-
-
-def _split_ndjson(
-    lines: list[dict[str, Any]],
-) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    if not lines or lines[0].get("kind") != "header":
-        raise ServiceError(
-            502, "bad-stream", "NDJSON stream did not start with a header line"
-        )
-    header = {k: v for k, v in lines[0].items() if k != "kind"}
-    records = [
-        {k: v for k, v in line.items() if k != "kind"}
-        for line in lines[1:]
-        if line.get("kind") == "record"
-    ]
-    return header, records
-
-
-def _resultset_from_payload(
-    header: dict[str, Any], records: list[dict[str, Any]]
-) -> ResultSet:
-    scenario = None
-    if "scenario" in header:
-        scenario = Scenario.from_dict(header["scenario"])
-    stats = None
-    if "stats" in header:
-        stats = EvaluationStats.from_dict(header["stats"])
-    cache = header.get("cache", {})
-    return ResultSet(
-        records=[Record.from_dict(record) for record in records],
-        solver=str(header.get("solver", "")),
-        scenario=scenario,
-        stats=stats,
-        cache_hit=bool(cache.get("hit", False)),
-        cache_key=str(cache.get("key", "")),
-        cache_path=None,
-        partial=bool(header.get("partial", False)),
-    )

@@ -23,15 +23,21 @@ Routes
                            ``route=``, ``min_ms=``, ``error=1``, ``limit=``)
 ``GET  /v1/traces/{id}``   one trace in full: the assembled span tree,
                            async job spans stitched under the request
-``POST /v1/explore``       Scenario JSON in → records out (NDJSON optional)
+``POST /v1/explore``       Scenario JSON in → result out (JSON, NDJSON or
+                           the binary result archive, by ``Accept``)
 ``POST /v1/optimize``      one (architecture, technology, frequency) solve
 ``POST /v1/jobs``          submit a sweep as an async sharded job (202)
 ``GET  /v1/jobs``          list all jobs, newest first
 ``GET  /v1/jobs/{id}``     one job's state + progress counters
-``GET  /v1/jobs/{id}/result``  the merged columnar result (NDJSON optional)
+``GET  /v1/jobs/{id}/result``  the merged result (same three formats)
 ``GET  /v1/jobs/{id}/events``  NDJSON progress stream, follows to terminal
 ``DELETE /v1/jobs/{id}``   cancel (immediate when queued, at the next
                            shard boundary when running)
+
+A result is JSON by default, NDJSON for ``?stream=ndjson`` (which wins
+over ``Accept``) or ``Accept: application/x-ndjson``, and one
+:func:`~repro.explore.cache.encode_entry` archive for ``Accept:
+application/x-repro-columns``; errors are always JSON.
 
 Every response carries an ``X-Request-Id`` header (the client's, when
 it sent a well-formed one; minted otherwise); the same id appears in
@@ -84,7 +90,7 @@ from ..resilience import (
     install_faults,
     uninstall_faults,
 )
-from ..explore.columnar import ResultRows
+from ..explore.cache import encode_entry
 from ..explore.engine import cache_key
 from ..explore.scenario import FrequencyGrid, Scenario
 from ..jobs import (
@@ -97,7 +103,7 @@ from ..jobs import (
 )
 from ..listing import architecture_names, catalog_payload, listing_payload
 from ..solvers import SolverError, get_solver
-from ..study import ResultSet, Study
+from ..study import ResultSet, Study, result_payload
 from .coalesce import Coalescer
 from .memcache import (
     DEFAULT_MEMORY_ENTRIES,
@@ -107,6 +113,7 @@ from .memcache import (
 )
 
 __all__ = [
+    "COLUMNS_CONTENT_TYPE",
     "DEFAULT_MAX_BODY",
     "ExplorationServer",
     "NDJSON_CONTENT_TYPE",
@@ -122,6 +129,16 @@ DEFAULT_MAX_BODY = 1 << 20
 
 NDJSON_CONTENT_TYPE = "application/x-ndjson"
 JSON_CONTENT_TYPE = "application/json"
+#: The binary result format: one :func:`~repro.explore.cache.encode_entry`
+#: archive of the result's header and columns.
+COLUMNS_CONTENT_TYPE = "application/x-repro-columns"
+
+#: The ``format`` label of ``http.response_bytes``, by content type.
+_RESPONSE_FORMATS = {
+    JSON_CONTENT_TYPE: "json",
+    NDJSON_CONTENT_TYPE: "ndjson",
+    COLUMNS_CONTENT_TYPE: "columns",
+}
 
 
 class ServiceError(Exception):
@@ -517,28 +534,6 @@ def parse_optimize_request(
     return scenario, name, options
 
 
-def _header_payload(result: ResultSet, coalesced: bool) -> dict[str, Any]:
-    """Provenance shared by both response formats (everything but records)."""
-    payload: dict[str, Any] = {
-        "solver": result.solver,
-        "n_records": len(result),
-        "coalesced": coalesced,
-        "cache": {"hit": result.cache_hit, "key": result.cache_key},
-    }
-    if result.partial:
-        payload["partial"] = True
-    if result.scenario is not None:
-        payload["scenario"] = result.scenario.to_dict()
-    if result.stats is not None:
-        payload["stats"] = result.stats.to_dict()
-    return payload
-
-
-def resultset_payload(result: ResultSet, coalesced: bool) -> dict[str, Any]:
-    """The ``/v1/explore`` response body (everything the client rebuilds)."""
-    return {**_header_payload(result, coalesced), "records": result.to_dicts()}
-
-
 #: Records serialised per chunk of the NDJSON stream (one socket write
 #: per chunk instead of one per record).
 NDJSON_CHUNK_ROWS = 2048
@@ -548,26 +543,18 @@ def ndjson_lines(result: ResultSet, coalesced: bool) -> "Iterator[str]":
     """The same response as NDJSON: one header line, one line per record.
 
     A generator of newline-joined chunks, so large sweeps stream for
-    real — the response is never materialised as a whole.  Table-backed
-    result sets (every engine run) serialise straight from the column
-    arrays, :data:`NDJSON_CHUNK_ROWS` records per chunk, without
-    materialising a single record object; the wire format is unchanged
-    (one JSON document per line, sorted keys).
+    real — the response is never materialised as a whole.  Records
+    serialise straight from the column arrays of the run's table,
+    :data:`NDJSON_CHUNK_ROWS` per chunk, without materialising a single
+    record object (one JSON document per line, sorted keys).
     """
     yield json.dumps(
-        {"kind": "header", **_header_payload(result, coalesced)},
+        {"kind": "header", **result_payload(result, coalesced)},
         sort_keys=True,
     )
-    records = result.records
-    if isinstance(records, ResultRows):
-        yield from records.table.iter_ndjson_chunks(
-            chunk_rows=NDJSON_CHUNK_ROWS
-        )
-        return
-    for record in records:
-        yield json.dumps(
-            {"kind": "record", **record.to_dict()}, sort_keys=True
-        )
+    yield from result.records.table.iter_ndjson_chunks(
+        chunk_rows=NDJSON_CHUNK_ROWS
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +911,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         registry = obs.get_registry()
         text = obs.prometheus_text(registry) if registry is not None else ""
-        self._send_text(200, text, obs.PROMETHEUS_CONTENT_TYPE)
+        self._send_body(200, text.encode("utf-8"), obs.PROMETHEUS_CONTENT_TYPE)
 
     def _trace_store(self) -> obs.TraceStore:
         store = self.server.state.traces
@@ -998,10 +985,7 @@ class _Handler(BaseHTTPRequestHandler):
             f"{' cache-hit' if result.cache_hit else ''}"
             f"{' coalesced' if coalesced else ''}"
         )
-        if self._wants_ndjson():
-            self._send_ndjson(ndjson_lines(result, coalesced))
-        else:
-            self._send_json(200, resultset_payload(result, coalesced))
+        self._send_result(result, coalesced)
 
     def _route_optimize(self) -> None:
         scenario, solver, options = parse_optimize_request(
@@ -1093,10 +1077,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _route_job_result(self, job_id: str) -> None:
         result, coalesced = self.server.state.jobs.job_result_response(job_id)
         self._note = f"job {job_id} result ({len(result)} records)"
-        if self._wants_ndjson():
-            self._send_ndjson(ndjson_lines(result, coalesced))
-        else:
-            self._send_json(200, resultset_payload(result, coalesced))
+        self._send_result(result, coalesced)
 
     def _route_job_events(self, job_id: str) -> None:
         state = self.server.state
@@ -1153,12 +1134,38 @@ class _Handler(BaseHTTPRequestHandler):
             )
         return payload
 
-    def _wants_ndjson(self) -> bool:
+    def _result_format(self) -> str:
+        """``"ndjson"``, ``"columns"`` or ``"json"`` for a result route."""
         stream = self._query.get("stream", [""])[0].lower()
         if stream in ("1", "true", "ndjson", "yes"):
-            return True
+            return "ndjson"
         accept = self.headers.get("Accept", "")
-        return NDJSON_CONTENT_TYPE in accept
+        if COLUMNS_CONTENT_TYPE in accept:
+            return "columns"
+        return "ndjson" if NDJSON_CONTENT_TYPE in accept else "json"
+
+    def _send_result(self, result: ResultSet, coalesced: bool) -> None:
+        """``result`` in the format the request negotiated."""
+        fmt = self._result_format()
+        if fmt == "ndjson":
+            # NDJSON encodes while it streams: the span covers the writes.
+            with obs.span("server.encode", format=fmt):
+                self._send_ndjson(ndjson_lines(result, coalesced))
+            return
+        # Injected before the encode, so a response fault still surfaces
+        # as a structured 500.
+        faults.check("http.response")
+        with obs.span("server.encode", format=fmt):
+            if fmt == "columns":
+                payload = result_payload(result, coalesced, columns=True)
+                body = encode_entry(payload)
+                content_type = COLUMNS_CONTENT_TYPE
+            else:
+                payload = result_payload(result, coalesced)
+                payload["records"] = result.to_dicts()
+                body = json.dumps(payload, sort_keys=True).encode("utf-8")
+                content_type = JSON_CONTENT_TYPE
+        self._send_body(200, body, content_type)
 
     def _send_trace_headers(self) -> None:
         self.send_header("X-Request-Id", self._request_id)
@@ -1177,25 +1184,20 @@ class _Handler(BaseHTTPRequestHandler):
             # error handler sending the resulting 500 cannot re-fire it.
             faults.check("http.response")
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._send_body(status, body, JSON_CONTENT_TYPE, headers)
+
+    def _send_body(
+        self, status: int, body: bytes, content_type: str, headers=None
+    ) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", JSON_CONTENT_TYPE)
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self._send_trace_headers()
         self.end_headers()
         self.wfile.write(body)
-        self._log_request(status, len(body))
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self._send_trace_headers()
-        self.end_headers()
-        self.wfile.write(body)
-        self._log_request(status, len(body))
+        self._log_request(status, len(body), content_type)
 
     def _send_ndjson(self, lines: "Iterator[str]") -> None:
         # Injected before the status line goes out, so a response fault
@@ -1213,16 +1215,18 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.write(data)
             sent += len(data)
         self.wfile.flush()
-        self._log_request(200, sent)
+        self._log_request(200, sent, NDJSON_CONTENT_TYPE)
 
     # -- logging -------------------------------------------------------------
-    def _log_request(self, status: int, body_bytes: int) -> None:
+    def _log_request(self, status: int, body_bytes: int, content_type: str) -> None:
         self._status = status
         elapsed = time.perf_counter() - self._started
         obs.inc("http.requests", route=self._route_label, status=status)
         obs.observe(
             "http.latency_seconds", elapsed, route=self._route_label
         )
+        fmt = _RESPONSE_FORMATS.get(content_type, "text")
+        obs.inc("http.response_bytes", body_bytes, route=self._route_label, format=fmt)
         entry: dict[str, Any] = {
             "ts": round(time.time(), 3),
             "request_id": self._request_id,

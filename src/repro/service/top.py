@@ -9,9 +9,10 @@ refresh for a requests-per-second rate, and render:
 
 * the headline: RPS, totals, error count, job queue depth, coalescer
   in-flight count, cache hit rates per tier;
-* a per-route table: request count, error count, and p50/p95 latency
+* a per-route table: request count, error count, p50/p95 latency
   estimated from the cumulative ``http_latency_seconds`` buckets (the
-  same interpolation Prometheus's ``histogram_quantile`` applies);
+  same interpolation Prometheus's ``histogram_quantile`` applies) and
+  the response bytes sent (``http.response_bytes``);
 * the most recent slow and error traces from the trace store, ready to
   paste into ``repro`` — or ``curl`` — as ``/v1/traces/{id}`` lookups.
 
@@ -106,11 +107,13 @@ def _route_table(snapshot: Mapping[str, Any]) -> list[dict[str, Any]]:
         return rows.setdefault(
             route,
             {"route": route, "requests": 0, "errors": 0,
-             "p50_ms": None, "p95_ms": None},
+             "p50_ms": None, "p95_ms": None, "bytes": 0.0},
         )
 
     for key, value in snapshot.get("counters", {}).items():
         name, labels = parse_instrument_key(key)
+        if name == "http.response_bytes" and "route" in labels:
+            row(labels["route"])["bytes"] += float(value)
         if name != "http.requests" or "route" not in labels:
             continue
         entry = row(labels["route"])
@@ -159,6 +162,13 @@ def _hit_rate(snapshot: Mapping[str, Any], tier: str) -> str:
 
 def _format_ms(value: float | None) -> str:
     return "-" if value is None else f"{value:.1f}"
+
+
+def _format_bytes(value: float) -> str:
+    for scale, unit in ((1e9, "GB"), (1e6, "MB"), (1e3, "kB")):
+        if value >= scale:
+            return f"{value / scale:.1f} {unit}"
+    return f"{value:.0f} B"
 
 
 def _interesting_traces(
@@ -222,14 +232,15 @@ def render_dashboard(
         lines.append("")
         lines.append(
             f"{'route':<28} {'reqs':>7} {'err':>5} "
-            f"{'p50 ms':>9} {'p95 ms':>9}"
+            f"{'p50 ms':>9} {'p95 ms':>9} {'bytes out':>10}"
         )
         for entry in routes[:ROUTE_ROWS]:
             lines.append(
                 f"{entry['route']:<28} {entry['requests']:>7} "
                 f"{entry['errors']:>5} "
                 f"{_format_ms(entry['p50_ms']):>9} "
-                f"{_format_ms(entry['p95_ms']):>9}"
+                f"{_format_ms(entry['p95_ms']):>9} "
+                f"{_format_bytes(entry['bytes']):>10}"
             )
 
     lines.append("")

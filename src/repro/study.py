@@ -58,7 +58,7 @@ from .explore.engine import explore as explore_scenario
 from .explore.scenario import FrequencyGrid, Scenario, TransformStep
 from .solvers import Solver, get_solver
 
-__all__ = ["Record", "ResultSet", "Study"]
+__all__ = ["Record", "ResultSet", "Study", "result_from_payload", "result_payload"]
 
 #: The uniform record type every Study run yields: one flat, JSON-ready
 #: row per candidate with architecture / technology / frequency / Vdd /
@@ -209,6 +209,55 @@ class ResultSet:
         if best is not None:
             lines.append(f"  best: {best.describe()}")
         return "\n".join(lines)
+
+
+def result_payload(
+    result: ResultSet, coalesced: bool = False, *, columns: bool = False
+) -> dict[str, Any]:
+    """A result set's provenance, plus a run's columns when asked for.
+
+    The one header of every serialised result: the JSON and NDJSON
+    responses carry it beside their records; the binary response and a
+    job's stored result carry it, ``columns=True``, as one result
+    archive.  :func:`result_from_payload` reads it back.
+    """
+    payload: dict[str, Any] = {
+        "solver": result.solver,
+        "n_records": len(result),
+        "coalesced": coalesced,
+        "cache": {"hit": result.cache_hit, "key": result.cache_key},
+    }
+    if result.partial:
+        payload["partial"] = True
+    if result.scenario is not None:
+        payload["scenario"] = result.scenario.to_dict()
+    if result.stats is not None:
+        payload["stats"] = result.stats.to_dict()
+    if columns:
+        payload["columns"] = result.records.table.to_payload_columns()
+    return payload
+
+
+def result_from_payload(payload: Mapping[str, Any]) -> ResultSet:
+    """The :class:`ResultSet` of ``result_payload(..., columns=True)``.
+
+    Its records are lazy rows over the payload's columns.  A malformed
+    payload raises ``AttributeError``, ``KeyError``, ``TypeError`` or
+    ``ValueError``.
+    """
+    stats = payload.get("stats")
+    cache = payload.get("cache", {})
+    return ResultSet(
+        records=ResultTable.from_cache_payload(payload).rows(),
+        solver=str(payload.get("solver", "")),
+        scenario=Scenario.from_dict(payload["scenario"])
+        if "scenario" in payload
+        else None,
+        stats=EvaluationStats.from_dict(stats) if stats else None,
+        cache_hit=bool(cache.get("hit", False)),
+        cache_key=str(cache.get("key", "")),
+        partial=bool(payload.get("partial", False)),
+    )
 
 
 #: Process-global manager backing ``Study.submit()`` when the caller

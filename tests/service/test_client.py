@@ -6,6 +6,8 @@ from repro.explore.scenario import demo_scenario
 from repro.service.client import RemoteStudy, ServiceClient, ServiceError
 from repro.study import ResultSet, Study
 
+from . import wire
+
 ARCH = {
     "name": "w16",
     "n_cells": 729,
@@ -29,11 +31,16 @@ class TestRoundTripParity:
         assert remote.scenario == local.scenario
 
     def test_streamed_explore_matches_study_run(self, service):
-        _, client = service
+        server, client = service
         scenario = demo_scenario(frequency_points=3)
-        remote = client.explore(scenario, solver="auto", stream=True)
+        remote = client.explore(scenario, solver="auto")
+        _, (header, streamed) = wire.text_results(
+            server.url + "/v1/explore", {"scenario": scenario.to_dict()}
+        )
         local = Study.from_scenario(scenario).solver("auto").run()
-        assert remote.records == local.records
+        assert streamed.rows() == local.records == remote.records
+        assert header["n_records"] == len(remote)
+        assert header["scenario"] == remote.scenario.to_dict()
 
     def test_resultset_analysis_works_on_remote_records(self, service):
         _, client = service

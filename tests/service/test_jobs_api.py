@@ -12,6 +12,8 @@ from repro.explore.scenario import demo_scenario
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import ExplorationServer, ServiceConfig
 
+from . import wire
+
 WAIT = 30.0
 
 
@@ -62,19 +64,16 @@ class TestJobLifecycle:
         assert status["progress"]["points_done"] == scenario.size
         assert status["scenario_name"] == scenario.name
 
-        # NDJSON stream (the default) and plain JSON agree with inline.
-        streamed = client.job_result(handle.id)
-        plain = client.job_result(handle.id, stream=False)
+        # The client's binary result, NDJSON and plain JSON agree with
+        # the inline run.
+        remote = client.job_result(handle.id)
+        (_, plain), (header, streamed) = wire.text_results(
+            f"{server.url}/v1/jobs/{handle.id}/result"
+        )
         inline = explore(scenario, use_cache=False)
-        assert len(streamed) == len(inline.table) == len(plain)
-        for remote in (streamed, plain):
-            for index in (0, len(remote) // 2, len(remote) - 1):
-                record = remote[index]
-                row = inline.table.rows()[index]
-                assert record.architecture == row.architecture
-                assert record.technology == row.technology
-                assert record.frequency == row.frequency
-                assert record.ptot == row.ptot
+        assert header["n_records"] == len(inline.table) == len(remote)
+        assert remote.records == streamed.rows() == plain.rows()
+        assert remote.records == inline.table.rows()
 
         listed = {payload["id"] for payload in client.jobs()}
         assert handle.id in listed

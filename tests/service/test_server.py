@@ -20,6 +20,8 @@ from repro.service.server import (
 )
 from repro.study import Study
 
+from . import wire
+
 ARCH = {
     "name": "w16",
     "n_cells": 729,
@@ -93,19 +95,27 @@ class TestExploreRoute:
         assert second.records == first.records
 
     def test_ndjson_stream_matches_plain_response(self, service):
-        _, client = service
+        server, client = service
         scenario = demo_scenario(frequency_points=2)
-        plain = client.explore(scenario, solver="auto", stream=False)
-        streamed = client.explore(scenario, solver="auto", stream=True)
-        assert streamed.records == plain.records
-        assert streamed.solver == plain.solver
+        (plain_header, plain), (streamed_header, streamed) = (
+            wire.text_results(
+                server.url + "/v1/explore", {"scenario": scenario.to_dict()}
+            )
+        )
+        remote = client.explore(scenario, solver="auto")
+        assert streamed.rows() == plain.rows() == remote.records
         # Phase timings are per-run (the first request computed, the
-        # second replayed the cache); compare everything else.
+        # others replayed the cache) and so is the hit flag; compare
+        # everything else.
+        for header in (plain_header, streamed_header):
+            header["stats"]["phases"] = {}
+            header["cache"]["hit"] = True
+        assert streamed_header == plain_header
         import dataclasses
 
         assert dataclasses.replace(
-            streamed.stats, phases={}
-        ) == dataclasses.replace(plain.stats, phases={})
+            remote.stats, phases={}
+        ).to_dict() == plain_header["stats"]
 
     def test_ndjson_wire_format(self, service):
         server, client = service

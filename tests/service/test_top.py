@@ -123,6 +123,19 @@ class TestRenderDashboard:
         assert b_index < c_index  # the error beats the merely-slow
         assert "!!" in lines[b_index]
 
+    def test_response_bytes_per_route(self):
+        snapshot = _snapshot()
+        snapshot["counters"].update({
+            "http.response_bytes{format=columns,route=/v1/explore}": 10_700_000,
+            "http.response_bytes{format=json,route=/v1/explore}": 2_500,
+            "http.response_bytes{format=json,route=/v1/healthz}": 500,
+        })
+        text = render_dashboard(snapshot, [])
+        rows = {line.split()[0]: line for line in text.splitlines()
+                if line.startswith("/v1/")}
+        assert rows["/v1/explore"].endswith("10.7 MB")
+        assert rows["/v1/healthz"].endswith("500 B")
+
     def test_empty_trace_store_renders_a_placeholder(self):
         assert "(none recorded yet)" in render_dashboard(_snapshot(), [])
 

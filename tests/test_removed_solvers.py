@@ -103,3 +103,15 @@ def test_the_json_list_and_compressed_result_codecs_are_gone():
     for name in ("save_npz", "load_npz", "from_payload_columns"):
         assert not hasattr(ResultTable, name)
     assert not hasattr(columnar, "NPZ_SCHEMA_VERSION")
+
+
+def test_the_client_stream_knob_is_gone():
+    """Results travel as one binary archive; NDJSON is for curl."""
+    import inspect
+
+    import repro.service.client as client_module
+
+    for method in (ServiceClient.explore, ServiceClient.job_result):
+        assert "stream" not in inspect.signature(method).parameters
+    for name in ("STREAM_THRESHOLD", "_split_ndjson", "_resultset_from_payload"):
+        assert not hasattr(client_module, name)
